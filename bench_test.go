@@ -538,6 +538,49 @@ func BenchmarkBatchDistances_FlatBatcher(b *testing.B) {
 	_ = dst
 }
 
+// BenchmarkBatchDistances_ColdTargets is the batch as the point-http
+// workload serves it: BarabasiAlbert(30000, 4) with 16 bit-parallel
+// roots (~18.7 MiB), each op one source and 256 targets taken in turn
+// from a pool drawn in advance uniformly over the whole index. The rows
+// above reuse one 1024-target set, whose labels stay in cache; here
+// most targets' labels miss the L2, so the row shows memory latency
+// that the hot rows cannot.
+func BenchmarkBatchDistances_ColdTargets(b *testing.B) {
+	const perOp, ops = 256, 4096
+	coldBatchOnce.Do(func() {
+		g := gen.BarabasiAlbert(30000, 4, 1)
+		pg, err := pll.NewGraph(g.NumVertices(), g.Edges())
+		if err != nil {
+			coldBatchErr = err
+			return
+		}
+		coldBatchIndex, coldBatchErr = pll.Build(pg, pll.WithBitParallel(16))
+	})
+	if coldBatchErr != nil {
+		b.Fatal(coldBatchErr)
+	}
+	batcher := coldBatchIndex.(pll.Batcher)
+	n := int32(coldBatchIndex.NumVertices())
+	r := rng.New(42)
+	pool := make([]int32, ops*(perOp+1))
+	for i := range pool {
+		pool[i] = r.Int31n(n)
+	}
+	var dst []int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op := pool[(i%ops)*(perOp+1):][:perOp+1]
+		dst = batcher.DistanceFrom(op[0], op[1:], dst)
+	}
+	_ = dst
+}
+
+var (
+	coldBatchOnce  sync.Once
+	coldBatchIndex pll.Oracle
+	coldBatchErr   error
+)
+
 // Theorem 4.4's regime: low tree-width inputs.
 func BenchmarkAblation_TreeWidth_PLL_Grid(b *testing.B) {
 	g := gen.Grid(30, 60)

@@ -27,6 +27,8 @@ type BatchSource struct {
 	bpDv  []uint8
 	bpS1v []uint64
 	bpS0v []uint64
+	// sink absorbs the loads of DistanceFrom's touch pass.
+	sink uint64
 }
 
 // NewBatchSource prepares batched querying from source s.

@@ -38,7 +38,9 @@ func (ix *Index) DistanceProfiled(s, t int32, p *trace.QueryProfile) int {
 }
 
 // DistanceFromProfiled is DistanceFrom with merge profiling: one merge
-// record covering the whole batch.
+// record covering the whole batch, counting what the kernel reads — the
+// source's label and every target's, plus one bit-parallel row for the
+// source and one per target.
 func (ix *Index) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *trace.QueryProfile) []int64 {
 	if p == nil {
 		return ix.DistanceFrom(s, targets, dst)
@@ -47,7 +49,7 @@ func (ix *Index) DistanceFromProfiled(s int32, targets []int32, dst []int64, p *
 	dst = ix.DistanceFrom(s, targets, dst)
 	entries := labelEntries(ix.labelOff, ix.rank[s]) + int64((len(targets)+1)*ix.numBP)
 	for _, t := range targets {
-		entries += labelEntries(ix.labelOff, ix.rank[t]) + int64(ix.numBP)
+		entries += labelEntries(ix.labelOff, ix.rank[t])
 	}
 	p.AddMerge(entries, time.Since(start))
 	return dst

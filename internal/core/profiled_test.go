@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pll/internal/gen"
 	"pll/internal/trace"
 )
 
@@ -83,5 +84,27 @@ func TestProfiledDynamic(t *testing.T) {
 	}
 	if snap := p.Snapshot(); snap.MergeCalls == 0 {
 		t.Fatalf("dynamic profile recorded no merges: %+v", snap)
+	}
+}
+
+// TestDistanceFromProfiledEntries pins the merged-entry count of a
+// profiled batch to what the kernel reads: |L(s)| + Σ|L(t)| plus one
+// bit-parallel row for the source and one per target.
+func TestDistanceFromProfiledEntries(t *testing.T) {
+	g := gen.Path(6)
+	ix := buildOrFail(t, g, Options{NumBitParallel: 2})
+	if ix.NumBitParallelRoots() != 2 {
+		t.Fatalf("built %d bit-parallel roots, want 2", ix.NumBitParallelRoots())
+	}
+	s, targets := int32(1), []int32{0, 3, 5, 5}
+	want := int64(ix.LabelSize(s) + (len(targets)+1)*2)
+	for _, v := range targets {
+		want += int64(ix.LabelSize(v))
+	}
+	p := &trace.QueryProfile{}
+	ix.DistanceFromProfiled(s, targets, nil, p)
+	snap := p.Snapshot()
+	if snap.MergeCalls != 1 || snap.MergeEntries != want {
+		t.Fatalf("profile = %d calls, %d entries; want 1 call, %d entries", snap.MergeCalls, snap.MergeEntries, want)
 	}
 }

@@ -231,11 +231,12 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // queryPair parses the s and t query parameters as int32 vertex IDs.
 func queryPair(r *http.Request) (int32, int32, error) {
 	var s, t int32
+	q := r.URL.Query()
 	for _, p := range []struct {
 		name string
 		dst  *int32
 	}{{"s", &s}, {"t", &t}} {
-		raw := r.URL.Query().Get(p.name)
+		raw := q.Get(p.name)
 		if raw == "" {
 			return 0, 0, fmt.Errorf("missing query parameter %q", p.name)
 		}
@@ -405,7 +406,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	distances := make([]int64, 0, n)
 	err := s.oracle.View(func(o pll.Oracle) error {
 		if req.Source != nil {
-			if err := pll.Validate(o, append([]int32{*req.Source}, req.Targets...)...); err != nil {
+			if err := pll.Validate(o, *req.Source); err != nil {
+				return err
+			}
+			if err := pll.Validate(o, req.Targets...); err != nil {
 				return err
 			}
 			// Single-source batches forward to the Batcher capability —

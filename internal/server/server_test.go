@@ -232,6 +232,35 @@ func TestBatchValidation(t *testing.T) {
 		http.StatusRequestEntityTooLarge, nil)
 }
 
+// TestBatchValidationMessage pins which vertex a rejected single-source
+// batch names: the source when it is out of range, else the first
+// out-of-range target.
+func TestBatchValidationMessage(t *testing.T) {
+	ix, err := pll.Build(lineGraph(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, ix, Config{})
+	for _, tc := range []struct {
+		src     int32
+		targets []int32
+		want    string
+	}{
+		{9, []int32{1, 7}, "pll: vertex 9 out of range [0,4)"},
+		{0, []int32{1, 7, -2}, "pll: vertex 7 out of range [0,4)"},
+	} {
+		var resp struct {
+			Error string `json:"error"`
+		}
+		postJSON(t, ts.URL+"/batch",
+			batchRequest{Source: &tc.src, Targets: tc.targets},
+			http.StatusBadRequest, &resp)
+		if resp.Error != tc.want {
+			t.Fatalf("batch from %d to %v: error %q, want %q", tc.src, tc.targets, resp.Error, tc.want)
+		}
+	}
+}
+
 func TestUpdateEndpointDynamic(t *testing.T) {
 	di, err := pll.BuildDynamic(lineGraph(t, 8))
 	if err != nil {

@@ -149,13 +149,14 @@ func (st *Stack) Instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		req := st.tracer.StartRequest(name, r.Header.Get("traceparent"))
+		tid := req.TraceID.String()
 		rid := r.Header.Get("X-Request-Id")
 		if rid == "" {
-			rid = req.TraceID.String()
+			rid = tid
 		}
 		// Both headers land before the handler runs, so even requests the
 		// admission layer sheds carry their correlation IDs.
-		w.Header().Set("X-Trace-Id", req.TraceID.String())
+		w.Header().Set("X-Trace-Id", tid)
 		w.Header().Set("X-Request-Id", rid)
 		r = r.WithContext(trace.NewContext(r.Context(), req))
 		sw := &statusWriter{ResponseWriter: w}
