@@ -299,8 +299,8 @@ func (di *DynamicIndex) ComputeStats() Stats {
 
 // Freeze snapshots the dynamic index into a static Index (flattened,
 // sentinel-terminated label arrays; no bit-parallel labels). The
-// snapshot answers the same queries and can be serialized, disk-queried
-// and verified like any statically built index; further InsertEdge
+// snapshot answers the same queries and can be serialized, memory-
+// mapped and verified like any statically built index; further InsertEdge
 // calls on the dynamic index do not affect it.
 func (di *DynamicIndex) Freeze() *Index {
 	off, vs, ds := flattenLabels(di.n, di.labV, di.labD)

@@ -7,7 +7,6 @@ import (
 
 	"pll/internal/bfs"
 	"pll/internal/gen"
-	"pll/internal/graph"
 	"pll/internal/rng"
 )
 
@@ -50,44 +49,22 @@ func TestQueryPathAdjacent(t *testing.T) {
 	}
 }
 
-func TestDiskIndexTinyGraphs(t *testing.T) {
-	for _, n := range []int{1, 2} {
-		g, err := graph.NewGraph(n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := buildOrFail(t, g, Options{})
-		path := t.TempDir() + "/tiny.pll"
-		if err := ix.SaveFile(path); err != nil {
-			t.Fatal(err)
-		}
-		di, err := OpenDiskIndex(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := di.Query(0, 0)
-		if err != nil || d != 0 {
-			t.Fatalf("n=%d: self query = %d, %v", n, d, err)
-		}
-		di.Close()
-	}
-}
-
-func TestCompressedRandomRoundTripProperty(t *testing.T) {
+func TestContainerRandomRoundTripProperty(t *testing.T) {
 	check := func(seed uint64, bp uint8) bool {
 		g := randomGraph(seed, 50)
 		ix, err := Build(g, Options{Seed: seed, NumBitParallel: int(bp % 5)})
 		if err != nil {
 			return false
 		}
-		var buf1 bytes.Buffer
-		if err := ix.SaveCompressed(&buf1); err != nil {
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
 			return false
 		}
-		loaded, err := LoadCompressed(&buf1)
+		o, err := LoadAny(&buf)
 		if err != nil {
 			return false
 		}
+		loaded := o.(*Index)
 		n := int32(g.NumVertices())
 		r := rng.New(seed ^ 0xcafe)
 		for i := 0; i < 25; i++ {

@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,14 +12,13 @@ import (
 	"pll/internal/hubsearch"
 )
 
-// Container format version 2 ("flat"): the index laid out in its
-// query-ready columnar form so a file can be memory-mapped (or read in
-// one call) and served with zero per-entry decoding. Where version 1
-// stores interleaved per-vertex label records that must be parsed into
-// slices, version 2 stores the in-memory arrays themselves — offsets,
-// hub ranks, distances, bit-parallel blocks, sentinels included — each
-// 8-byte aligned so a mapped file doubles as the backing store of an
-// *Index / *DirectedIndex / *WeightedIndex.
+// The flat container payload: the index laid out in its query-ready
+// columnar form so a file can be memory-mapped (or read in one call)
+// and served with zero per-entry decoding. It stores the in-memory
+// arrays themselves — offsets, hub ranks, distances, bit-parallel
+// blocks, sentinels included — each 8-byte aligned so a mapped file
+// doubles as the backing store of an *Index / *DirectedIndex /
+// *WeightedIndex.
 //
 // Layout (little endian; offsets absolute from the file start):
 //
@@ -35,8 +33,8 @@ import (
 // Every variant stores perm and rank (the rank array is redundant but
 // storing it keeps startup free of per-entry work), then its label
 // arrays exactly as held in memory. OpenFlat maps a file and aliases
-// the sections; LoadAny reads a version-2 stream onto the heap with
-// full per-entry validation, so both paths answer identically.
+// the sections; LoadAny reads a stream onto the heap with full
+// per-entry validation, so both paths answer identically.
 const (
 	secPerm        uint32 = 1  // int32, n        rank -> vertex
 	secRank        uint32 = 2  // int32, n        vertex -> rank
@@ -59,20 +57,12 @@ const (
 	secInvDist     uint32 = 19 // uint32, L       inverted entries: distances
 )
 
-// ContainerVersionFlat is the flat (zero-copy) container format version.
-const ContainerVersionFlat uint16 = 2
-
-// ErrNotFlat is returned by OpenFlat for well-formed index files that
-// are not flat (version-2) containers — version-1 containers and bare
-// legacy payloads must be heap-loaded (LoadAny) or rewritten with
-// WriteFlat ("pll convert").
-var ErrNotFlat = errors.New("core: not a flat (version-2) container")
-
 const (
 	flatHeaderSize  = 16
 	flatSectionSize = 24
 	// flatMaxSections bounds the table a parser will consider; the
-	// largest variant writes nine sections.
+	// largest containers hold 11 sections (eight label sections plus
+	// the three FlatSearch sections).
 	flatMaxSections = 32
 )
 
@@ -231,14 +221,14 @@ func (fw *flatWriter) addSearchSections(inv *hubsearch.Inverted) {
 	addInts(fw, secInvDist, inv.Dist)
 }
 
-// WriteFlat writes the index as a flat (version-2) container whose
-// sections OpenFlat can serve zero-copy. Loading the result yields an
+// WriteFlat writes the index as a flat container whose sections
+// OpenFlat can serve zero-copy. Loading the result yields an
 // index answering identically to this one. With FlatSearch, the
 // hub-inverted search index rides along as optional sections.
 func (ix *Index) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
 	o := applyFlatOptions(opts)
 	h := ContainerHeader{
-		Version:     ContainerVersionFlat,
+		Version:     ContainerVersion,
 		Variant:     ix.Variant(),
 		BitParallel: uint32(ix.numBP),
 	}
@@ -266,15 +256,14 @@ func (ix *Index) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
 	return writeContainer(w, h, fw.writeTo)
 }
 
-// WriteFlat writes the directed index as a flat (version-2) container.
-// Parent pointers (StorePaths) are not serialized, matching WriteTo.
-// With FlatSearch, the inverted L_IN search index rides along.
+// WriteFlat writes the directed index as a flat container. Indexes
+// built with StorePaths cannot be serialized. With FlatSearch, the inverted L_IN search index rides along.
 func (ix *DirectedIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
 	if ix.outParent != nil {
 		return 0, fmt.Errorf("core: directed format does not support parent pointers")
 	}
 	o := applyFlatOptions(opts)
-	h := ContainerHeader{Version: ContainerVersionFlat, Variant: VariantDirected}
+	h := ContainerHeader{Version: ContainerVersion, Variant: VariantDirected}
 	fw := &flatWriter{n: uint64(ix.n)}
 	addInts(fw, secPerm, ix.perm)
 	addInts(fw, secRank, ix.rank)
@@ -291,15 +280,14 @@ func (ix *DirectedIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, erro
 	return writeContainer(w, h, fw.writeTo)
 }
 
-// WriteFlat writes the weighted index as a flat (version-2) container.
-// Parent pointers (StorePaths) are not serialized, matching WriteTo.
-// With FlatSearch, the inverted search index rides along.
+// WriteFlat writes the weighted index as a flat container. Indexes
+// built with StorePaths cannot be serialized. With FlatSearch, the inverted search index rides along.
 func (ix *WeightedIndex) WriteFlat(w io.Writer, opts ...FlatOption) (int64, error) {
 	if ix.labelParent != nil {
 		return 0, fmt.Errorf("core: weighted format does not support parent pointers")
 	}
 	o := applyFlatOptions(opts)
-	h := ContainerHeader{Version: ContainerVersionFlat, Variant: VariantWeighted}
+	h := ContainerHeader{Version: ContainerVersion, Variant: VariantWeighted}
 	fw := &flatWriter{n: uint64(ix.n)}
 	addInts(fw, secPerm, ix.perm)
 	addInts(fw, secRank, ix.rank)
@@ -571,9 +559,6 @@ func (p *flatParser) parseSearch(numBP int, bps1, bps0 []uint64) (*hubsearch.Inv
 }
 
 func (p *flatParser) parseUndirected() (*Index, error) {
-	if p.h.Flags&ContainerFlagCompressed != 0 {
-		return nil, fmt.Errorf("%w: flat containers are never compressed", ErrBadIndexFile)
-	}
 	perm, rank, err := p.permRank()
 	if err != nil {
 		return nil, err
@@ -725,11 +710,11 @@ func (p *flatParser) parseWeighted() (*WeightedIndex, error) {
 // Heap loading (reader path, full validation)
 // ---------------------------------------------------------------------
 
-// loadFlatFromReader reads a version-2 payload from a stream into one
-// heap buffer and parses it with full per-entry validation. The
-// container header was already consumed by LoadAny.
-func loadFlatFromReader(br *bufio.Reader, h ContainerHeader) (any, error) {
-	fixed, err := readBytesCapped(br, flatHeaderSize, "flat header")
+// loadFlatFromReader reads a flat payload from a stream into one heap
+// buffer and parses it with full per-entry validation. The container
+// header was already consumed by LoadAny.
+func loadFlatFromReader(r io.Reader, h ContainerHeader) (any, error) {
+	fixed, err := readBytesCapped(r, flatHeaderSize, "flat header")
 	if err != nil {
 		return nil, err
 	}
@@ -737,7 +722,7 @@ func loadFlatFromReader(br *bufio.Reader, h ContainerHeader) (any, error) {
 	if nsec > flatMaxSections {
 		return nil, fmt.Errorf("%w: implausible section count %d", ErrBadIndexFile, nsec)
 	}
-	table, err := readBytesCapped(br, int64(nsec)*flatSectionSize, "flat section table")
+	table, err := readBytesCapped(r, int64(nsec)*flatSectionSize, "flat section table")
 	if err != nil {
 		return nil, err
 	}
@@ -765,7 +750,7 @@ func loadFlatFromReader(br *bufio.Reader, h ContainerHeader) (any, error) {
 	data = append(data, hdr[:]...)
 	data = append(data, fixed...)
 	data = append(data, table...)
-	rest, err := readBytesCapped(br, int64(end)-int64(len(data)), "flat sections")
+	rest, err := readBytesCapped(r, int64(end)-int64(len(data)), "flat sections")
 	if err != nil {
 		return nil, err
 	}
@@ -796,9 +781,8 @@ type FlatStore struct {
 	unmap    func() error
 }
 
-// OpenFlat maps path and returns its flat store. Files that are valid
-// indexes but not flat (version-2) containers yield ErrNotFlat;
-// malformed files yield errors wrapping ErrBadIndexFile.
+// OpenFlat maps path and returns its flat store. Malformed files, and
+// files in a retired format, yield errors wrapping ErrBadIndexFile.
 //
 // The structural metadata (section table, perm/rank, offsets,
 // sentinels) is validated up front; label contents are trusted, exactly
@@ -831,19 +815,9 @@ func OpenFlat(path string) (*FlatStore, error) {
 
 // newFlatStore parses a complete flat file image into a store.
 func newFlatStore(data []byte, size int64, unmap func() error) (*FlatStore, error) {
-	if [8]byte(data[:8]) != containerMagic {
-		switch [8]byte(data[:8]) {
-		case indexMagic, compressedMagic, weightedMagic, directedMagic:
-			return nil, fmt.Errorf("%w (bare legacy payload; rewrite with WriteFlat)", ErrNotFlat)
-		}
-		return nil, fmt.Errorf("%w: unrecognized magic %q", ErrBadIndexFile, data[:8])
-	}
 	h, err := parseContainerHeader(data[:containerHeaderSize])
 	if err != nil {
 		return nil, err
-	}
-	if h.Version != ContainerVersionFlat {
-		return nil, fmt.Errorf("%w (container version %d; rewrite with WriteFlat)", ErrNotFlat, h.Version)
 	}
 	oracle, zeroCopy, err := parseFlat(data, h, true, false)
 	if err != nil {

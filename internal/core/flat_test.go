@@ -10,6 +10,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pll/internal/gen"
@@ -129,42 +130,25 @@ func TestFlatHeapAndMapAgree(t *testing.T) {
 	}
 }
 
-// TestOpenFlatRejectsV1 ensures version-1 files are routed to the heap
-// loader with the ErrNotFlat sentinel rather than a format error.
+// TestOpenFlatRejectsV1: a file carrying the retired version-1 header
+// or a bare headerless payload fails on both the mmap and the heap path
+// with ErrBadIndexFile and a hint to migrate it with `pll convert`.
 func TestOpenFlatRejectsV1(t *testing.T) {
-	ix := buildFlatTestIndex(t)
+	v1 := containerBytes(t, buildFlatTestIndex(t))
+	v1[8] = 1 // container version 1
+	bare := append(append(legacyMagicPrefix[:], "01"...), v1[16:]...)
 	dir := t.TempDir()
-	v1 := filepath.Join(dir, "v1.pllbox")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := OpenFlat(v1); !errors.Is(err, ErrNotFlat) {
-		t.Fatalf("OpenFlat(v1): got %v, want ErrNotFlat", err)
-	}
-	if errors.Is(ErrNotFlat, ErrBadIndexFile) {
-		t.Fatal("ErrNotFlat must not wrap ErrBadIndexFile: it marks a valid, convertible file")
-	}
-}
-
-// TestDiskIndexRejectsFlat keeps the two on-disk paths from being
-// crossed: DiskIndex ranged reads need the version-1 record layout.
-func TestDiskIndexRejectsFlat(t *testing.T) {
-	ix := buildFlatTestIndex(t)
-	path := filepath.Join(t.TempDir(), "flat.pllbox")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteFlat(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := OpenDiskIndex(path); !errors.Is(err, ErrBadIndexFile) {
-		t.Fatalf("OpenDiskIndex(flat): got %v, want ErrBadIndexFile", err)
+	for name, data := range map[string][]byte{"v1": v1, "bare": bare} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, openErr := OpenFlat(path)
+		_, loadErr := LoadAny(bytes.NewReader(data))
+		for _, err := range []error{openErr, loadErr} {
+			if !errors.Is(err, ErrBadIndexFile) || !strings.Contains(err.Error(), "pll convert") {
+				t.Fatalf("%s: err = %v, want ErrBadIndexFile naming `pll convert`", name, err)
+			}
+		}
 	}
 }

@@ -41,7 +41,7 @@ var ErrDiameterTooLarge = errors.New("core: graph diameter exceeds the 8-bit dis
 
 // Index is an immutable pruned-landmark-labeling index over an
 // undirected, unweighted graph. Build one with Build; query it with
-// Query, QueryPath, or through a DiskIndex.
+// Query, QueryPath, or DistanceFrom.
 //
 // Internally vertices are identified by rank (position in the
 // construction order): labels store ranks so that they are sorted

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -344,23 +346,8 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 // writeIndexFile builds an index over a line graph of n vertices and
-// writes it as a container file.
+// writes it as a container file, which /reload opens zero-copy.
 func writeIndexFile(t *testing.T, dir string, name string, n int) string {
-	t.Helper()
-	ix, err := pll.Build(lineGraph(t, n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := pll.WriteFile(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// writeFlatIndexFile writes a line-graph index as a flat (version-2)
-// container, the format /reload opens zero-copy.
-func writeFlatIndexFile(t *testing.T, dir string, name string, n int) string {
 	t.Helper()
 	ix, err := pll.Build(lineGraph(t, n))
 	if err != nil {
@@ -373,20 +360,20 @@ func writeFlatIndexFile(t *testing.T, dir string, name string, n int) string {
 	return path
 }
 
-// TestReloadFlatContainer hot-swaps the serving oracle onto a memory-
-// mapped flat container and then back to a heap-loaded one, exercising
+// TestReloadFlatContainer hot-swaps a heap-loaded serving oracle onto
+// a memory-mapped container and then onto another mapping, exercising
 // the zero-copy reload path and the deferred Close of the retired
 // mapping (a short CloseGrace lets the retirement actually run).
 func TestReloadFlatContainer(t *testing.T) {
 	dir := t.TempDir()
-	v1 := writeIndexFile(t, dir, "v1.pllbox", 4)
-	flat := writeFlatIndexFile(t, dir, "flat.pllbox", 9)
+	first := writeIndexFile(t, dir, "first.pllbox", 4)
+	flat := writeIndexFile(t, dir, "flat.pllbox", 9)
 
-	o, err := pll.LoadFile(v1)
+	o, err := pll.LoadFile(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, o, Config{IndexPath: v1, CacheSize: 16, CloseGrace: time.Millisecond})
+	srv, ts := newTestServer(t, o, Config{IndexPath: first, CacheSize: 16, CloseGrace: time.Millisecond})
 
 	var rr struct {
 		Vertices   int    `json:"vertices"`
@@ -406,11 +393,11 @@ func TestReloadFlatContainer(t *testing.T) {
 		t.Fatalf("d(0,8) = %d on the mapped line graph, want 8", dr.Distance)
 	}
 
-	// Swap back to the heap index: the retired FlatIndex must be closed
-	// after the grace period without disturbing serving.
+	// Swap back to the configured path: the retired FlatIndex must be
+	// closed after the grace period without disturbing serving.
 	postJSON(t, ts.URL+"/reload", reloadRequest{}, http.StatusOK, &rr)
 	if rr.Vertices != 4 {
-		t.Fatalf("reloaded v1 index has %d vertices, want 4", rr.Vertices)
+		t.Fatalf("reloaded first index has %d vertices, want 4", rr.Vertices)
 	}
 	time.Sleep(20 * time.Millisecond) // let the AfterFunc close the mapping
 	getJSON(t, ts.URL+"/distance?s=0&t=3", http.StatusOK, &dr)
@@ -464,11 +451,17 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
+// v1Container is an index over the path 0-1-2-3 in the retired
+// version-1 record format, as written by earlier releases.
+const v1Container = "504c4c424f5800000100010000000000504c4c49445830310000000004000000000000000000000000000000010000000200000003000000000000000100000002000000030000000200000000000000000000000001010000000000000000020100000001020000000000000000010300000000"
+
+// TestReloadRejectsCorruptFile: a reload onto garbage or onto a file in
+// a retired format fails, and the old index keeps serving.
 func TestReloadRejectsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
-	good := writeIndexFile(t, dir, "good.pllbox", 4)
-	bad := filepath.Join(dir, "bad.pllbox")
-	if err := os.WriteFile(bad, []byte("not a container"), 0o644); err != nil {
+	good := writeIndexFile(t, dir, "good.pllbox", 6)
+	v1, err := hex.DecodeString(v1Container)
+	if err != nil {
 		t.Fatal(err)
 	}
 	o, err := pll.LoadFile(good)
@@ -476,7 +469,24 @@ func TestReloadRejectsCorruptFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, o, Config{IndexPath: good})
-	postJSON(t, ts.URL+"/reload", reloadRequest{Path: bad}, http.StatusUnprocessableEntity, nil)
+	for name, data := range map[string][]byte{"garbage": []byte("not a container"), "v1": v1} {
+		bad := filepath.Join(dir, name+".pllbox")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var er struct {
+			Error string `json:"error"`
+		}
+		postJSON(t, ts.URL+"/reload", reloadRequest{Path: bad}, http.StatusUnprocessableEntity, &er)
+		if name == "v1" && !strings.Contains(er.Error, "pll convert") {
+			t.Fatalf("v1 reload error %q does not say how to migrate", er.Error)
+		}
+		var dr distanceResponse
+		getJSON(t, ts.URL+"/distance?s=0&t=5", http.StatusOK, &dr)
+		if dr.Distance != 5 {
+			t.Fatalf("after the %s reload: d(0,5) = %d, want 5 from the old index", name, dr.Distance)
+		}
+	}
 }
 
 // TestConcurrentQueriesUpdatesAndReloads is the subsystem's race

@@ -16,7 +16,7 @@ package pll
 //
 // Every index variant in this package (*Index, *DirectedIndex,
 // *WeightedIndex, *DynamicIndex, *FlatIndex and *ConcurrentOracle)
-// implements Batcher; *FlatIndex and *DiskIndex implement Closer.
+// implements Batcher; *FlatIndex implements Closer.
 
 // Batcher answers many distance queries that share one source faster
 // than repeated Distance calls: the source's label is expanded into a

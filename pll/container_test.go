@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pll/internal/gen"
@@ -67,35 +68,6 @@ func TestContainerRoundTripPlain(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, ix, pll.VariantUndirected)
-}
-
-func TestContainerRoundTripCompressed(t *testing.T) {
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithBitParallel(4), pll.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var plain, comp bytes.Buffer
-	if _, err := ix.WriteTo(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteToCompressed(&comp); err != nil {
-		t.Fatal(err)
-	}
-	if comp.Len() >= plain.Len() {
-		t.Fatalf("compressed container (%d bytes) not smaller than plain (%d bytes)", comp.Len(), plain.Len())
-	}
-	loaded, err := pll.Load(&comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(3)
-	n := int32(ix.NumVertices())
-	for i := 0; i < 200; i++ {
-		s, u := r.Int31n(n), r.Int31n(n)
-		if loaded.Distance(s, u) != ix.Distance(s, u) {
-			t.Fatalf("compressed round trip mismatch at (%d,%d)", s, u)
-		}
-	}
 }
 
 func TestContainerRoundTripPaths(t *testing.T) {
@@ -166,33 +138,21 @@ func TestContainerRoundTripDynamicFrozen(t *testing.T) {
 	if _, ok := loaded.(*pll.Index); !ok {
 		t.Fatalf("frozen dynamic index loaded as %T, want *pll.Index", loaded)
 	}
-	// Freezing explicitly, then compressing, keeps the tag too.
-	var comp bytes.Buffer
-	if _, err := di.Freeze().WriteToCompressed(&comp); err != nil {
-		t.Fatal(err)
-	}
-	fromComp, err := pll.Load(&comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := fromComp.Stats().Variant; v != pll.VariantDynamic {
-		t.Fatalf("compressed frozen snapshot variant = %s, want dynamic", v)
-	}
-	if fromComp.Distance(0, 5) != di.Distance(0, 5) {
-		t.Fatal("compressed frozen snapshot distance mismatch")
-	}
+	// Freezing explicitly keeps the tag too.
+	roundTrip(t, di.Freeze(), pll.VariantDynamic)
 }
 
-// Every WriteTo output must load through LoadFile too, and the unified
-// file loader must reject a variant-specific legacy wrapper mismatch.
+// Every written file must load through LoadFile too, and the typed
+// LoadIndexFile must reject another variant's file.
 func TestContainerFileRoundTripAndVariantMismatch(t *testing.T) {
 	g := testGraph(t)
 	ix, err := pll.BuildIndex(g, pll.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ix.pllbox")
-	if err := pll.WriteFile(path, ix); err != nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ix.pllbox")
+	if err := pll.WriteFlatFile(path, ix); err != nil {
 		t.Fatal(err)
 	}
 	o, err := pll.LoadFile(path)
@@ -202,35 +162,20 @@ func TestContainerFileRoundTripAndVariantMismatch(t *testing.T) {
 	if o.Distance(0, 5) != ix.Distance(0, 5) {
 		t.Fatal("file round trip mismatch")
 	}
-	// The deprecated typed loaders must reject the wrong variant with a
-	// descriptive error instead of misparsing bytes.
-	if _, err := pll.LoadWeightedFile(path); err == nil {
-		t.Fatal("LoadWeightedFile accepted an undirected container")
-	}
-	if _, err := pll.LoadDirectedFile(path); err == nil {
-		t.Fatal("LoadDirectedFile accepted an undirected container")
-	}
-}
-
-// Dropping the 16-byte container header leaves a bare legacy payload;
-// Load must still recognize it by its inner magic (pre-container files
-// stay loadable).
-func TestLoadAcceptsBareLegacyPayload(t *testing.T) {
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithBitParallel(2), pll.WithSeed(1))
+	dg, err := pll.NewDigraph(3, []pll.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	dix, err := pll.BuildDirected(dg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := buf.Bytes()[16:]
-	o, err := pll.Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("bare legacy payload rejected: %v", err)
+	dpath := filepath.Join(dir, "directed.pllbox")
+	if err := pll.WriteFlatFile(dpath, dix); err != nil {
+		t.Fatal(err)
 	}
-	if o.Distance(1, 7) != ix.Distance(1, 7) {
-		t.Fatal("legacy payload loaded wrong")
+	if _, err := pll.LoadIndexFile(dpath); err == nil || !strings.Contains(err.Error(), "directed") {
+		t.Fatalf("LoadIndexFile(directed container): got %v, want an error naming the variant", err)
 	}
 }
 
@@ -250,13 +195,17 @@ func TestContainerWriteToFailsBeforeWriting(t *testing.T) {
 	if n, err := dix.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
 		t.Fatalf("directed WithPaths WriteTo: n=%d len=%d err=%v, want 0 bytes and an error", n, buf.Len(), err)
 	}
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithPaths())
+	wg, err := pll.NewWeightedGraph(3, []pll.WeightedEdge{{U: 0, V: 1, Weight: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wix, err := pll.BuildWeighted(wg, pll.WithPaths())
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if n, err := ix.WriteToCompressed(&buf); err == nil || n != 0 || buf.Len() != 0 {
-		t.Fatalf("compressed WithPaths WriteTo: n=%d len=%d err=%v, want 0 bytes and an error", n, buf.Len(), err)
+	if n, err := wix.WriteTo(&buf); err == nil || n != 0 || buf.Len() != 0 {
+		t.Fatalf("weighted WithPaths WriteTo: n=%d len=%d err=%v, want 0 bytes and an error", n, buf.Len(), err)
 	}
 }
 
@@ -284,46 +233,7 @@ func TestContainerRejectsCorruptHeaders(t *testing.T) {
 	corrupt("unknown version", func(b []byte) []byte { b[8], b[9] = 0xFF, 0xFF; return b })
 	corrupt("unknown variant", func(b []byte) []byte { b[10] = 99; return b })
 	corrupt("unknown flags", func(b []byte) []byte { b[11] |= 0x80; return b })
-	corrupt("compressed flag on directed tag", func(b []byte) []byte { b[10], b[11] = 2, 1; return b })
+	corrupt("retired compressed flag", func(b []byte) []byte { b[11] |= 0x01; return b })
 	corrupt("truncated payload", func(b []byte) []byte { return b[:len(b)-5] })
 	corrupt("variant/payload mismatch", func(b []byte) []byte { b[10] = 3; return b }) // weighted tag, plain payload
-}
-
-// Disk-resident querying must work on container files (the §6 fast
-// path reads label blocks at offsets shifted by the header).
-func TestDiskIndexOnContainerFile(t *testing.T) {
-	ix, err := pll.BuildIndex(testGraph(t), pll.WithBitParallel(2), pll.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.pllbox")
-	if err := pll.WriteFile(path, ix); err != nil {
-		t.Fatal(err)
-	}
-	di, err := pll.OpenDiskIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer di.Close()
-	r := rng.New(21)
-	n := int32(ix.NumVertices())
-	for i := 0; i < 100; i++ {
-		s, u := r.Int31n(n), r.Int31n(n)
-		got, err := di.Distance(s, u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != ix.Distance(s, u) {
-			t.Fatalf("disk mismatch at (%d,%d)", s, u)
-		}
-	}
-	// Compressed containers cannot be disk-queried.
-	cpath := filepath.Join(dir, "ix.pllc")
-	if err := ix.SaveCompressedFile(cpath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pll.OpenDiskIndex(cpath); !errors.Is(err, pll.ErrBadIndexFile) {
-		t.Fatalf("OpenDiskIndex on compressed container: got %v, want ErrBadIndexFile", err)
-	}
 }

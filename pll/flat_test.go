@@ -1,17 +1,19 @@
 package pll_test
 
-// Flat (version-2) container coverage: byte/answer equivalence against
-// the version-1 format across all variants × paths × bit-parallel,
-// zero-copy Open on files, rejection of malformed input, and
-// concurrent FlatIndex querying (run under -race in CI).
+// Flat container coverage: byte/answer equivalence of heap-loaded and
+// mapped oracles across all variants × paths × bit-parallel, zero-copy
+// Open on files, rejection of malformed input and of retired formats,
+// and concurrent FlatIndex querying (run under -race in CI).
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -113,16 +115,16 @@ func equalPath(a, b []int32) bool {
 	return true
 }
 
-// TestFlatRoundTripAllVariants proves the tentpole equivalence: for
+// TestFlatRoundTripAllVariants proves the round-trip equivalence: for
 // every variant, flat bytes heap-load (Load) into an oracle whose
-// answers match the original exhaustively, and whose version-1
-// re-serialization is byte-identical to the original's — so v1 -> flat
-// -> v1 conversion is lossless.
+// answers match the original exhaustively, and whose re-serialization
+// is byte-identical to the original's WriteTo — so write -> load ->
+// write is lossless.
 func TestFlatRoundTripAllVariants(t *testing.T) {
 	for _, tc := range buildFlatCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			var v1 bytes.Buffer
-			if _, err := tc.oracle.WriteTo(&v1); err != nil {
+			var orig bytes.Buffer
+			if _, err := tc.oracle.WriteTo(&orig); err != nil {
 				t.Fatal(err)
 			}
 			var flat bytes.Buffer
@@ -138,9 +140,9 @@ func TestFlatRoundTripAllVariants(t *testing.T) {
 			if _, err := loaded.WriteTo(&back); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(v1.Bytes(), back.Bytes()) {
-				t.Fatalf("v1 -> flat -> v1 is not byte-identical (%d vs %d bytes)",
-					v1.Len(), back.Len())
+			if !bytes.Equal(orig.Bytes(), back.Bytes()) {
+				t.Fatalf("write -> load -> write is not byte-identical (%d vs %d bytes)",
+					orig.Len(), back.Len())
 			}
 		})
 	}
@@ -148,8 +150,8 @@ func TestFlatRoundTripAllVariants(t *testing.T) {
 
 // TestOpenServesFlatFiles proves the mmap path: Open answers match the
 // heap-loaded oracle on every variant, the variant tag is preserved,
-// WriteTo inverts the conversion byte-identically, and Close is
-// idempotent.
+// WriteTo on the mapped index reproduces the source's bytes, and Close
+// is idempotent.
 func TestOpenServesFlatFiles(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range buildFlatCases(t) {
@@ -169,14 +171,14 @@ func TestOpenServesFlatFiles(t *testing.T) {
 			if fi.Variant() != wantVariant {
 				t.Fatalf("variant %s, want %s", fi.Variant(), wantVariant)
 			}
-			var v1, back bytes.Buffer
-			if _, err := tc.oracle.WriteTo(&v1); err != nil {
+			var orig, back bytes.Buffer
+			if _, err := tc.oracle.WriteTo(&orig); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := fi.WriteTo(&back); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(v1.Bytes(), back.Bytes()) {
+			if !bytes.Equal(orig.Bytes(), back.Bytes()) {
 				t.Fatal("FlatIndex.WriteTo is not byte-identical to the source index's")
 			}
 			if err := fi.Close(); err != nil {
@@ -220,32 +222,48 @@ func TestOpenBatchesZeroCopy(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsNonFlat: version-1 containers and legacy payloads are
-// valid indexes but not Open-able; the sentinel tells callers to fall
-// back to LoadFile.
+// retiredFormats are index files over a 4-vertex path written by
+// earlier releases in formats this build no longer reads: a version-1
+// record container and the four headerless payloads that preceded the
+// container. FuzzLoad seeds its corpus with them too.
+var retiredFormats = []struct{ name, hex string }{
+	{"version-1 container", "504c4c424f5800000100010000000000504c4c49445830310000000004000000000000000000000000000000010000000200000003000000000000000100000002000000030000000200000000000000000000000001010000000000000000020100000001020000000000000000010300000000"},
+	{"bare PLLIDX01 payload", "504c4c49445830310000000004000000000000000000000000000000010000000200000003000000000000000100000002000000030000000200000000000000000000000001010000000000000000020100000001020000000000000000010300000000"},
+	{"bare PLLIDXC1 payload", "504c4c494458433104000000000000000000000000000000010203000100000200010000030002000100000200010200"},
+	{"bare PLLIDXW1 payload", "504c4c49445857310400000000000000010000000200000003000000000000000100000002000000030000000200000000000000000000000000000003000000010000000000000000000000040000000100000001000000020000000000000000000000020000000300000000000000"},
+	{"bare PLLIDXD1 payload", "504c4c49445844310400000000000000010000000200000003000000000000000100000001000000010000000200000000000000000100000000020000000000000000010300000000010000000200000003000000010000000000000000000000000101000000000000000002010000000102000000000300000000"},
+}
+
+func retiredFormatBytes(t testing.TB, hexBytes string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(hexBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestOpenRejectsNonFlat: files in a retired format fail on every load
+// path with ErrBadIndexFile and an error that says how to migrate them.
 func TestOpenRejectsNonFlat(t *testing.T) {
 	dir := t.TempDir()
-	tc := buildFlatCases(t)[0]
-
-	v1 := filepath.Join(dir, "v1.pllbox")
-	if err := pll.WriteFile(v1, tc.oracle); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pll.Open(v1); !errors.Is(err, pll.ErrNotFlat) {
-		t.Fatalf("Open(v1 container): got %v, want ErrNotFlat", err)
-	}
-
-	// Bare legacy payload = v1 container minus its 16-byte header.
-	var buf bytes.Buffer
-	if _, err := tc.oracle.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(dir, "legacy.pll")
-	if err := os.WriteFile(legacy, buf.Bytes()[16:], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pll.Open(legacy); !errors.Is(err, pll.ErrNotFlat) {
-		t.Fatalf("Open(legacy payload): got %v, want ErrNotFlat", err)
+	for _, tc := range retiredFormats {
+		data := retiredFormatBytes(t, tc.hex)
+		path := filepath.Join(dir, "retired.pll")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := pll.Load(bytes.NewReader(data))
+		_, fileErr := pll.LoadFile(path)
+		fi, openErr := pll.Open(path)
+		if openErr == nil {
+			fi.Close()
+		}
+		for entry, err := range map[string]error{"Load": loadErr, "LoadFile": fileErr, "Open": openErr} {
+			if !errors.Is(err, pll.ErrBadIndexFile) || !strings.Contains(err.Error(), "pll convert") {
+				t.Errorf("%s(%s): got %v, want ErrBadIndexFile naming `pll convert`", entry, tc.name, err)
+			}
+		}
 	}
 
 	if _, err := pll.Open(filepath.Join(dir, "missing.pllbox")); err == nil {
@@ -253,21 +271,14 @@ func TestOpenRejectsNonFlat(t *testing.T) {
 	}
 }
 
-// TestOpenAndLoadRejectMalformedFlat corrupts a valid flat container in
+// TestOpenAndLoadRejectMalformedFlat cuts every variant's container,
+// with and without search sections, at every prefix and corrupts it in
 // targeted ways; both the mmap and the heap loader must fail with
 // ErrBadIndexFile and never panic.
 func TestOpenAndLoadRejectMalformedFlat(t *testing.T) {
-	tc := buildFlatCases(t)[1] // bp variant: most sections
-	var buf bytes.Buffer
-	if _, err := pll.WriteFlat(&buf, tc.oracle); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	dir := t.TempDir()
-
+	path := filepath.Join(t.TempDir(), "malformed.pllbox")
 	check := func(name string, mut []byte) {
 		t.Helper()
-		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -282,9 +293,25 @@ func TestOpenAndLoadRejectMalformedFlat(t *testing.T) {
 		}
 	}
 
-	for _, cut := range []int{33, 48, len(valid) / 2, len(valid) - 1} {
-		check(fmt.Sprintf("truncated-%d", cut), append([]byte(nil), valid[:cut]...))
+	for _, tc := range buildFlatCases(t) {
+		for _, opts := range [][]pll.FlatOption{nil, {pll.FlatSearch()}} {
+			var buf bytes.Buffer
+			if _, err := pll.WriteFlat(&buf, tc.oracle, opts...); err != nil {
+				t.Fatal(err)
+			}
+			valid := buf.Bytes()
+			for cut := range valid {
+				check(fmt.Sprintf("%s search=%v truncated-%d", tc.name, opts != nil, cut), valid[:cut])
+			}
+		}
 	}
+
+	tc := buildFlatCases(t)[1] // bp variant: most sections
+	var buf bytes.Buffer
+	if _, err := pll.WriteFlat(&buf, tc.oracle); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
 	flip := func(off int) []byte {
 		mut := append([]byte(nil), valid...)
 		mut[off] ^= 0xff
@@ -300,6 +327,11 @@ func TestOpenAndLoadRejectMalformedFlat(t *testing.T) {
 	nsec := int(binary.LittleEndian.Uint32(valid[24:28]))
 	permOff := (16 + 16 + 24*nsec + 7) &^ 7
 	check("bad-perm", flip(permOff))
+	// A flat header claiming n = 2^40 vertices is rejected before any
+	// n-sized allocation.
+	huge := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(huge[16:24], 1<<40)
+	check("n-2^40", huge)
 }
 
 // TestFlatConcurrentQueries hammers one mapped FlatIndex from many

@@ -1,11 +1,12 @@
 package pll_test
 
-// Native fuzz target for the container/payload parsers behind pll.Load.
-// The contract under test: any input either loads successfully or fails
+// Native fuzz target for the container parser behind pll.Load. The
+// contract under test: any input either loads successfully or fails
 // with an error wrapping ErrBadIndexFile — never a panic, never an
-// unbounded allocation (see allocChunk in internal/core/serialize.go).
-// The seed corpus holds a round-tripped index of every variant and
-// payload flavor, so mutations explore each branch of the dispatcher.
+// unbounded allocation (see allocChunk in internal/core/container.go).
+// The seed corpus holds a container of every variant, with and without
+// the search sections, plus files in the retired formats, so mutations
+// explore both the flat parser and the rejection path.
 //
 // CI runs a short coverage-guided session (-fuzz=FuzzLoad -fuzztime=30s,
 // see .github/workflows/ci.yml); plain `go test` replays the corpus.
@@ -18,57 +19,21 @@ import (
 	"pll/pll"
 )
 
-// fuzzCorpus serializes one index per variant, plus the bare legacy
-// payloads (a container is header + legacy payload, so slicing off the
-// 16-byte header yields the legacy encoding Load also accepts).
+// fuzzCorpus serializes one index per variant and search option, each
+// also without its 16-byte container header (which Load must reject),
+// and appends a version-1 header on every variant plus the retired
+// formats of TestOpenRejectsNonFlat.
 func fuzzCorpus(f *testing.F) [][]byte {
 	f.Helper()
-	var out [][]byte
-	add := func(b []byte, err error) {
-		if err != nil {
-			f.Fatal(err)
-		}
-		out = append(out, b, b[16:])
-	}
-
 	edges := []pll.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 1, V: 4}, {U: 4, V: 5}}
 	g, err := pll.NewGraph(7, edges) // vertex 6 isolated: exercises empty labels
 	if err != nil {
 		f.Fatal(err)
 	}
-
-	marshal := func(o pll.Oracle, err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if _, err := o.WriteTo(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-
-	add(marshal(pll.BuildIndex(g, pll.WithBitParallel(2))))
-	add(marshal(pll.BuildIndex(g, pll.WithBitParallel(0))))
-	add(marshal(pll.BuildIndex(g, pll.WithPaths())))
-
-	// Compressed payload.
-	ix, err := pll.BuildIndex(g, pll.WithBitParallel(2))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	if _, err := ix.WriteToCompressed(&cbuf); err != nil {
-		f.Fatal(err)
-	}
-	out = append(out, cbuf.Bytes(), cbuf.Bytes()[16:])
-
 	dg, err := pll.NewDigraph(6, edges)
 	if err != nil {
 		f.Fatal(err)
 	}
-	add(marshal(pll.BuildDirected(dg)))
-
 	wedges := make([]pll.WeightedEdge, len(edges))
 	for i, e := range edges {
 		wedges[i] = pll.WeightedEdge{U: e.U, V: e.V, Weight: uint32(i%3 + 1)}
@@ -77,49 +42,40 @@ func fuzzCorpus(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	add(marshal(pll.BuildWeighted(wg)))
-
-	di, err := pll.BuildDynamic(g)
-	if err != nil {
-		f.Fatal(err)
-	}
-	add(marshal(pll.Oracle(di), nil))
-
-	// Flat (version-2) containers of every variant: the columnar parser
-	// behind Load's v2 branch must reject any mutation with
-	// ErrBadIndexFile, never panic.
-	marshalFlat := func(o pll.Oracle, err error) ([]byte, error) {
+	var oracles []pll.Oracle
+	add := func(o pll.Oracle, err error) {
 		if err != nil {
-			return nil, err
+			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if _, err := pll.WriteFlat(&buf, o); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		oracles = append(oracles, o)
 	}
-	add(marshalFlat(pll.BuildIndex(g, pll.WithBitParallel(2))))
-	add(marshalFlat(pll.BuildIndex(g, pll.WithPaths())))
-	add(marshalFlat(pll.BuildDirected(dg)))
-	add(marshalFlat(pll.BuildWeighted(wg)))
-	add(marshalFlat(pll.Oracle(di), nil))
+	add(pll.BuildIndex(g, pll.WithBitParallel(2)))
+	add(pll.BuildIndex(g, pll.WithBitParallel(0)))
+	add(pll.BuildIndex(g, pll.WithPaths()))
+	add(pll.BuildDirected(dg))
+	add(pll.BuildWeighted(wg))
+	add(pll.BuildDynamic(g))
 
-	// Flat containers carrying the persisted hub-inverted search
-	// sections: the secInv* parsing and validation paths must reject
-	// truncated or misaligned mutants with ErrBadIndexFile.
-	marshalSearch := func(o pll.Oracle, err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
+	var out, v1 [][]byte
+	for _, opts := range [][]pll.FlatOption{nil, {pll.FlatSearch()}} {
+		for _, o := range oracles {
+			var buf bytes.Buffer
+			if _, err := pll.WriteFlat(&buf, o, opts...); err != nil {
+				f.Fatal(err)
+			}
+			b := buf.Bytes()
+			out = append(out, b, b[16:])
+			if opts == nil {
+				old := append([]byte(nil), b...)
+				old[8] = 1 // container version 1
+				v1 = append(v1, old)
+			}
 		}
-		var buf bytes.Buffer
-		if _, err := pll.WriteFlat(&buf, o, pll.FlatSearch()); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
 	}
-	add(marshalSearch(pll.BuildIndex(g, pll.WithBitParallel(2))))
-	add(marshalSearch(pll.BuildDirected(dg)))
-	add(marshalSearch(pll.BuildWeighted(wg)))
+	out = append(out, v1...)
+	for _, tc := range retiredFormats {
+		out = append(out, retiredFormatBytes(f, tc.hex))
+	}
 	return out
 }
 
