@@ -7,6 +7,7 @@ import (
 
 	"pll/internal/bfs"
 	"pll/internal/gen"
+	"pll/internal/graph"
 	"pll/internal/rng"
 )
 
@@ -46,6 +47,34 @@ func TestQueryPathAdjacent(t *testing.T) {
 	p, err := ix.QueryPath(2, 3)
 	if err != nil || len(p) != 2 {
 		t.Fatalf("adjacent path = %v, %v", p, err)
+	}
+}
+
+// TestDiskIndexTinyGraphs serves one- and two-vertex indexes from a
+// file on disk through OpenFlat.
+func TestDiskIndexTinyGraphs(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		g, err := graph.NewGraph(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := buildOrFail(t, g, Options{})
+		fs, err := OpenFlat(writeContainerFile(t, ix))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		di := fs.Oracle().(*Index)
+		if d := di.Query(0, 0); d != 0 {
+			t.Fatalf("n=%d: self query = %d", n, d)
+		}
+		if n == 2 {
+			if d := di.Query(0, 1); d != Unreachable {
+				t.Fatalf("edgeless pair distance %d", d)
+			}
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
