@@ -30,7 +30,7 @@
 //
 //	go run ./examples/loadtest -saturate [-cap 8] [-requests 4000]
 //
-// Distributed mode (-replicas N) measures the scatter-gather tier
+// Distributed mode (-replicas N) measures the coordinator tier
 // instead: one index served by N in-process replicas behind a cluster
 // coordinator (the same wiring cmd/pllrouted mounts). The same point-
 // query workload runs three ways — directly against one replica,

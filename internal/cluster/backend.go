@@ -7,7 +7,6 @@ package cluster
 
 import (
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,7 @@ import (
 // identity is the backend-identity payload replicas report on /healthz.
 // Backends whose identity disagrees with the pool majority are excluded
 // from routing: a replica serving a different index would silently
-// corrupt merged answers.
+// corrupt answers.
 type identity struct {
 	Variant  string `json:"variant"`
 	Vertices int    `json:"vertices"`
@@ -183,8 +182,7 @@ func (br *breaker) open() bool {
 }
 
 // latencyRing keeps the last latencyWindow attempt durations for the
-// adaptive hedge delay. Quantiles are computed on demand from a copy —
-// the window is small and hedging only consults it once per request.
+// adaptive hedge delay, which every routed request consults.
 const latencyWindow = 128
 
 type latencyRing struct {
@@ -205,20 +203,27 @@ func (lr *latencyRing) add(d time.Duration) {
 }
 
 // p99 returns the 99th-percentile observed latency, or 0 when no
-// samples exist yet.
+// samples exist yet. The p99 of n samples is the one of 1-based sorted
+// rank ceil(0.99n), which is n or n-1 whenever n < 200 (the window
+// holds 128): the largest or the second-largest sample. One pass finds
+// both, with no copy and no sort.
 func (lr *latencyRing) p99() time.Duration {
 	lr.mu.Lock()
+	defer lr.mu.Unlock()
 	n := lr.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, lr.buf[:n])
-	lr.mu.Unlock()
 	if n == 0 {
 		return 0
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	idx := (99*n + 99) / 100 // ceil(0.99*n), 1-based
-	if idx > n {
-		idx = n
+	var first, second time.Duration // the largest two samples
+	for _, d := range lr.buf[:n] {
+		if d > first {
+			first, second = d, first
+		} else if d > second {
+			second = d
+		}
 	}
-	return tmp[idx-1]
+	if (99*n+99)/100 < n {
+		return second
+	}
+	return first
 }

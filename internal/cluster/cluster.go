@@ -1,35 +1,33 @@
-// Package cluster is the distributed-serving tier: a scatter-gather
-// coordinator fronting N pllserved replicas that together form one
-// logical index.
+// Package cluster is the distributed-serving tier: a coordinator
+// fronting N pllserved replicas of one index.
 //
-// The coordinator treats each backend as one shard of the logical
-// index. Today every shard is a full replica (replica-sharding for
-// QPS); the wire contract — point lookups routed by rendezvous
-// hashing, fan-out endpoints scattered to every shard and reduced with
-// the hubsearch (distance, vertex) merge ordering — is exactly the one
-// label-partitioned shards will need, so partitioning can land later
-// without touching clients.
+// Every replica holds the whole index, and a PLL query needs only the
+// labels of its own vertices, so any replica answers any query
+// exactly. The coordinator therefore sends each request to one
+// replica; only /batch is split, because splitting it really divides
+// the work. Label-partitioned sharding, if it lands, will bring its own
+// shard map and reduction.
 //
 // Routing and resilience:
 //
-//   - /distance and /path route to one backend by rendezvous hashing of
-//     the query pair, with health-checked failover through the
-//     remaining backends and a hedged second request after a p99-based
-//     delay (the loser is canceled).
+//   - /distance, /path, /knn, /range, /nearest and /query route to one
+//     backend by rendezvous hashing of the request (the search
+//     endpoints hash their canonical form, so equivalent requests share
+//     a replica's result cache), with failover down the ranking and a
+//     hedged second request after a p99-based delay (the loser is
+//     canceled).
 //   - /batch splits the pair list into contiguous chunks across healthy
 //     backends and reassembles the answers in order, so the response is
 //     byte-identical to a single node while the scan cost spreads over
 //     the pool.
-//   - /knn, /range, /nearest and /query scatter to every shard and
-//     merge the per-shard top-k answers; when a shard cannot answer the
-//     response is served degraded with an explicit "incomplete" marker
-//     instead of failing.
+//   - A backend 429 means that one replica is loaded: the request (or
+//     /batch chunk) walks on to the next replica, and the 429
+//     (Retry-After intact) reaches the caller only when every replica
+//     shed.
 //   - Per-backend circuit breakers stop hammering a dying replica
-//     between health sweeps; bounded connection pools cap the fan-out's
-//     socket cost. A backend 429 propagates to the caller with its
-//     Retry-After intact on point lookups; on scatters a shedding shard
-//     only degrades the answer ("incomplete"), and the 429 is relayed
-//     when every shard shed.
+//     between health sweeps; bounded connection pools cap the socket
+//     cost. Every attempt walked past a failed or shedding replica is
+//     counted (failovers), so a degraded pool stays visible.
 //
 // Replicas must serve the same index: the health loop compares the
 // backend-identity payload (/healthz variant, vertex count, content
@@ -41,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -57,9 +56,10 @@ type Config struct {
 	// Backends are the base URLs of the pllserved replicas
 	// ("http://host:port"). At least one is required.
 	Backends []string
-	// MaxBatch caps every client-controlled fan-out before any scatter
-	// (default 4096). It must match the backends' cap: a request the
-	// coordinator forwards whole must not exceed what a replica accepts.
+	// MaxBatch caps every client-controlled fan-out before any request
+	// is forwarded (default 4096). It must match the backends' cap: a
+	// request the coordinator forwards whole must not exceed what a
+	// replica accepts.
 	MaxBatch int
 	// MaxBody caps POST request bodies in bytes (default 1 MiB).
 	MaxBody int64
@@ -78,7 +78,7 @@ type Config struct {
 	// letting a probe request through (default 1s).
 	BreakerCooldown time.Duration
 	// MaxConnsPerBackend bounds each backend's connection pool
-	// (default 128): a scatter storm cannot grow sockets without bound.
+	// (default 128): a request storm cannot grow sockets without bound.
 	MaxConnsPerBackend int
 	// Stack configures the shared middleware (admission control,
 	// request logging) in front of the coordinator's own handlers.
@@ -104,10 +104,9 @@ type Coordinator struct {
 	mux      *http.ServeMux
 	start    time.Time
 
-	scatters   atomic.Int64 // fan-out requests served
-	incomplete atomic.Int64 // fan-outs served degraded (missing shards)
-	hedges     atomic.Int64 // hedge requests fired
-	hedgeWins  atomic.Int64 // hedges whose response was used
+	failovers atomic.Int64 // attempts walked past a failed or shedding backend
+	hedges    atomic.Int64 // hedge requests fired
+	hedgeWins atomic.Int64 // hedges whose response was used
 
 	stopHealth chan struct{}
 	healthDone chan struct{}
@@ -167,8 +166,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /metrics", c.stack.Instrument("metrics", c.handleMetrics))
 	c.mux.HandleFunc("GET /debug/traces", c.stack.Instrument("debug", trace.DebugHandler(c.stack.Tracer())))
 	c.mux.HandleFunc("GET /stats", c.stack.Guarded("stats", c.handleStats))
-	c.mux.HandleFunc("GET /distance", c.stack.Guarded("distance", c.pointHandler("distance")))
-	c.mux.HandleFunc("GET /path", c.stack.Guarded("path", c.pointHandler("path")))
+	c.mux.HandleFunc("GET /distance", c.stack.Guarded("distance", c.handlePoint))
+	c.mux.HandleFunc("GET /path", c.stack.Guarded("path", c.handlePoint))
 	c.mux.HandleFunc("POST /batch", c.stack.Guarded("batch", c.handleBatch))
 	c.mux.HandleFunc("GET /knn", c.stack.Guarded("knn", c.handleKNN))
 	c.mux.HandleFunc("GET /range", c.stack.Guarded("range", c.handleRange))
@@ -185,7 +184,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Handler() http.Handler { return c.stack.Wrap(c.mux) }
 
 // Drain blocks until no request is executing or ctx expires; call it
-// after http.Server.Shutdown so in-flight scatters finish before the
+// after http.Server.Shutdown so in-flight requests finish before the
 // connection pools are torn down.
 func (c *Coordinator) Drain(ctx context.Context) error { return c.stack.Drain(ctx) }
 
@@ -211,9 +210,9 @@ func (c *Coordinator) Healthy() int {
 }
 
 // poolable returns the backends whose identity matches the pool (the
-// shard denominator for scatters: an unreachable-but-matching backend
-// counts as a missing shard, a mismatched one is not part of the
-// logical index at all).
+// denominator of /healthz's "degraded": an unreachable-but-matching
+// backend is a missing replica, a mismatched one is not part of the
+// pool at all).
 func (c *Coordinator) poolable() []*backend {
 	out := make([]*backend, 0, len(c.backends))
 	for _, b := range c.backends {
@@ -271,8 +270,13 @@ func mix(x uint64) uint64 {
 }
 
 // hashName seeds a backend's rendezvous score from its base URL.
-func hashName(name string) uint64 {
+func hashName(name string) uint64 { return routeKey(name, nil) }
+
+// routeKey is a request's rendezvous key: FNV-1a over its path, query
+// and body.
+func routeKey(pathQuery string, body []byte) uint64 {
 	h := fnv.New64a()
-	h.Write([]byte(name))
+	io.WriteString(h, pathQuery) //nolint:errcheck // hash writes never fail
+	h.Write(body)
 	return h.Sum64()
 }

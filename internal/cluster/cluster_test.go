@@ -22,7 +22,7 @@ import (
 )
 
 // buildOracle builds one searchable index variant over a random graph.
-func buildOracle(t *testing.T, variant string) pll.Oracle {
+func buildOracle(t testing.TB, variant string) pll.Oracle {
 	t.Helper()
 	const (
 		n    = 48
@@ -98,7 +98,7 @@ func buildOracle(t *testing.T, variant string) pll.Oracle {
 // startReplicas serves the oracle from count independent replica
 // servers (shared read-only index, separate server state — exactly a
 // replica pool on one host).
-func startReplicas(t *testing.T, o pll.Oracle, count int, cfg server.Config) ([]string, []*httptest.Server) {
+func startReplicas(t testing.TB, o pll.Oracle, count int, cfg server.Config) ([]string, []*httptest.Server) {
 	t.Helper()
 	urls := make([]string, count)
 	servers := make([]*httptest.Server, count)
@@ -112,7 +112,7 @@ func startReplicas(t *testing.T, o pll.Oracle, count int, cfg server.Config) ([]
 	return urls, servers
 }
 
-func startCoordinator(t *testing.T, urls []string, mut func(*Config)) (*Coordinator, *httptest.Server) {
+func startCoordinator(t testing.TB, urls []string, mut func(*Config)) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	cfg := Config{Backends: urls, HealthInterval: 25 * time.Millisecond}
 	if mut != nil {
@@ -129,7 +129,7 @@ func startCoordinator(t *testing.T, urls []string, mut func(*Config)) (*Coordina
 }
 
 // do issues one request and returns the status and body.
-func do(t *testing.T, method, url, body string) (int, http.Header, string) {
+func do(t testing.TB, method, url, body string) (int, http.Header, string) {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -258,46 +258,99 @@ func waitUsable(t *testing.T, c *Coordinator, n int) {
 	t.Fatalf("coordinator never saw %d usable backends (has %d)", n, c.Healthy())
 }
 
-// TestPartialFailureDegradesExplicitly kills one replica of three and
-// checks the degradation contract: fan-outs keep answering with
-// "incomplete":true and unchanged results, point lookups fail over,
-// and the coordinator's own /healthz stays 200 (degraded, not dead).
-func TestPartialFailureDegradesExplicitly(t *testing.T) {
-	o := buildOracle(t, "undirected")
-	urls, servers := startReplicas(t, o, 3, server.Config{})
-	c, coord := startCoordinator(t, urls, nil)
-	waitUsable(t, c, 3)
+// searchRequests are the search endpoints' requests the failover and
+// shed tests replay: each must answer byte-identically however many
+// replicas are down or shedding, as long as one can answer.
+var searchRequests = []struct {
+	method, path, body string
+}{
+	{http.MethodGet, "/knn?s=0&k=5", ""},
+	{http.MethodGet, "/range?s=0&r=3", ""},
+	{http.MethodGet, "/range?s=0&r=4&limit=3", ""},
+	{http.MethodPost, "/nearest", `{"source":0,"set":[1,5,9,13,21],"k":2}`},
+	{http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":4}},"k":5}`},
+	{http.MethodPost, "/query", `{"where":{"and":[{"near":{"source":0,"max_dist":4}},{"near":{"source":7,"max_dist":5}}]}}`},
+}
 
-	_, _, whole := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
-	if strings.Contains(whole, `"incomplete"`) {
-		t.Fatalf("whole pool answered with incomplete marker: %s", whole)
-	}
-
-	servers[2].CloseClientConnections()
-	servers[2].Close()
-	waitUsable(t, c, 2)
-
-	status, _, degraded := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
-	if status != http.StatusOK {
-		t.Fatalf("degraded /knn: status %d, want 200 (%s)", status, degraded)
-	}
-	if !strings.Contains(degraded, `"incomplete":true`) {
-		t.Fatalf("degraded /knn missing incomplete marker: %s", degraded)
-	}
-	// Replicas hold the full index, so the merged answer itself must
-	// not change — only the marker differs.
-	if strings.Replace(degraded, `"incomplete":true,`, "", 1) != whole {
-		t.Fatalf("degraded answer differs beyond the marker:\ndegraded: %q\n   whole: %q", degraded, whole)
-	}
-
-	// Point lookups fail over to surviving replicas (the dead one still
-	// owns ~1/3 of the rendezvous keyspace).
-	for s := 0; s < 9; s++ {
-		st, _, body := do(t, http.MethodGet, coord.URL+"/distance?s="+strconv.Itoa(s)+"&t=40", "")
-		if st != http.StatusOK {
-			t.Fatalf("distance s=%d after kill: status %d (%s)", s, st, body)
+// knnPrimary returns the index of the backend the coordinator ranks
+// first for the canonical /knn?s=0&k=5 request, so a test can take out
+// exactly the replica that request would have used.
+func knnPrimary(t *testing.T, c *Coordinator, urls []string) int {
+	t.Helper()
+	primary := c.rank(routeKey("/knn?s=0&k=5", nil))[0]
+	for i, u := range urls {
+		if strings.HasSuffix(u, primary.host) {
+			return i
 		}
 	}
+	t.Fatalf("primary %s is none of %v", primary.host, urls)
+	return -1
+}
+
+// checkSearchesUnchanged replays searchRequests and point lookups and
+// requires each answer to equal the whole-pool answer byte for byte.
+func checkSearchesUnchanged(t *testing.T, coordURL string, whole []string, when string) {
+	t.Helper()
+	for i, req := range searchRequests {
+		st, _, got := do(t, req.method, coordURL+req.path, req.body)
+		if st != http.StatusOK || got != whole[i] {
+			t.Fatalf("%s: %s %s: status %d\n got: %q\nwant: %q", when, req.method, req.path, st, got, whole[i])
+		}
+	}
+	// Point lookups fail over the same way (the dead replica still owns
+	// about 1/3 of the rendezvous keyspace).
+	for s := 0; s < 9; s++ {
+		st, _, body := do(t, http.MethodGet, coordURL+"/distance?s="+strconv.Itoa(s)+"&t=40", "")
+		if st != http.StatusOK {
+			t.Fatalf("%s: distance s=%d: status %d (%s)", when, s, st, body)
+		}
+	}
+}
+
+// wholeAnswers records every searchRequests answer from a whole pool.
+func wholeAnswers(t *testing.T, coordURL string) []string {
+	t.Helper()
+	whole := make([]string, len(searchRequests))
+	for i, req := range searchRequests {
+		st, _, body := do(t, req.method, coordURL+req.path, req.body)
+		if st != http.StatusOK {
+			t.Fatalf("whole pool: %s %s: status %d (%s)", req.method, req.path, st, body)
+		}
+		whole[i] = body
+	}
+	return whole
+}
+
+// TestPartialFailureFailsOver kills one replica of three. Every
+// replica holds the whole index, so every search endpoint must keep
+// answering byte-identically to the whole pool, with no marker: first
+// before any health sweep has noticed (the request itself fails over),
+// then after one has. The coordinator's /healthz stays 200 (degraded,
+// not dead), and only with every replica gone do requests fail, fast.
+func TestPartialFailureFailsOver(t *testing.T) {
+	o := buildOracle(t, "undirected")
+	urls, servers := startReplicas(t, o, 3, server.Config{})
+	c, coord := startCoordinator(t, urls, func(c *Config) {
+		// Health sweeps far apart: the coordinator still believes the
+		// dead backend is healthy when the first requests arrive.
+		c.HealthInterval = time.Hour
+		c.RequestTimeout = 2 * time.Second
+	})
+	whole := wholeAnswers(t, coord.URL)
+
+	dead := knnPrimary(t, c, urls)
+	servers[dead].CloseClientConnections()
+	servers[dead].Close()
+	checkSearchesUnchanged(t, coord.URL, whole, "before the health sweep")
+	if c.failovers.Load() == 0 {
+		t.Fatal("the dead replica was /knn's primary, yet no failover was counted")
+	}
+
+	c.healthSweep()
+	if got := c.Healthy(); got != 2 {
+		t.Fatalf("after the sweep %d usable backends, want 2", got)
+	}
+	checkSearchesUnchanged(t, coord.URL, whole, "after the health sweep")
 
 	hs, _, hbody := do(t, http.MethodGet, coord.URL+"/healthz", "")
 	if hs != http.StatusOK {
@@ -306,14 +359,22 @@ func TestPartialFailureDegradesExplicitly(t *testing.T) {
 	if !strings.Contains(hbody, `"status":"degraded"`) {
 		t.Fatalf("degraded /healthz payload: %s", hbody)
 	}
+	if _, _, sbody := do(t, http.MethodGet, coord.URL+"/stats", ""); !strings.Contains(sbody, `"failovers":`) {
+		t.Fatalf("/stats lacks the failover counter: %s", sbody)
+	}
+	if _, _, mbody := do(t, http.MethodGet, coord.URL+"/metrics", ""); !strings.Contains(mbody, "\npll_failover_total ") {
+		t.Fatalf("/metrics lacks pll_failover_total")
+	}
 
-	// Kill the rest: point lookups and fan-outs now fail fast, and the
+	// Kill the rest: point lookups and searches now fail fast, and the
 	// coordinator finally reports unavailable.
-	servers[0].CloseClientConnections()
-	servers[0].Close()
-	servers[1].CloseClientConnections()
-	servers[1].Close()
-	waitUsable(t, c, 0)
+	for i := range servers {
+		if i != dead {
+			servers[i].CloseClientConnections()
+			servers[i].Close()
+		}
+	}
+	c.healthSweep()
 	if st, _, _ := do(t, http.MethodGet, coord.URL+"/distance?s=0&t=1", ""); st != http.StatusServiceUnavailable {
 		t.Fatalf("all-dead /distance: status %d, want 503", st)
 	}
@@ -325,12 +386,12 @@ func TestPartialFailureDegradesExplicitly(t *testing.T) {
 	}
 }
 
-// TestScatter429DegradesNotAborts pins that admission rejection is
-// per-replica load, not a pool verdict: one shedding replica must not
-// turn an otherwise successful scatter into a client-visible 429 — the
-// merge answers degraded with "incomplete":true — and only when every
-// shard sheds does the 429 (Retry-After intact) reach the caller.
-func TestScatter429DegradesNotAborts(t *testing.T) {
+// TestShed429FailsOver pins that admission rejection is per-replica
+// load, not a pool verdict: a shedding replica makes the request walk
+// on to the next-ranked one, so searches, point lookups and /batch
+// chunks answer 200 byte-identically, and only when every replica
+// sheds does the 429 (Retry-After intact) reach the caller.
+func TestShed429FailsOver(t *testing.T) {
 	o := buildOracle(t, "undirected")
 	var shed [3]atomic.Bool
 	urls := make([]string, len(shed))
@@ -354,32 +415,41 @@ func TestScatter429DegradesNotAborts(t *testing.T) {
 	}
 	c, coord := startCoordinator(t, urls, nil)
 	waitUsable(t, c, 3)
+	whole := wholeAnswers(t, coord.URL)
+	// Seven pairs over three replicas: one chunk lands on the shedding
+	// replica and must walk on like a routed request.
+	const batch = `{"pairs":[[0,1],[2,3],[1,7],[4,9],[5,5],[40,2],[3,3]]}`
+	_, _, wholeBatch := do(t, http.MethodPost, coord.URL+"/batch", batch)
 
-	_, _, whole := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
-
-	shed[2].Store(true)
-	st, _, degraded := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
-	if st != http.StatusOK {
-		t.Fatalf("scatter with one shedding replica: status %d, want 200 (%s)", st, degraded)
+	shed[knnPrimary(t, c, urls)].Store(true)
+	checkSearchesUnchanged(t, coord.URL, whole, "one replica shedding")
+	if st, _, got := do(t, http.MethodPost, coord.URL+"/batch", batch); st != http.StatusOK || got != wholeBatch {
+		t.Fatalf("/batch with one replica shedding: status %d\n got: %q\nwant: %q", st, got, wholeBatch)
 	}
-	if !strings.Contains(degraded, `"incomplete":true`) {
-		t.Fatalf("shedding shard not marked incomplete: %s", degraded)
+	if c.failovers.Load() == 0 {
+		t.Fatal("the shedding replica was /knn's primary, yet no failover was counted")
 	}
-	if strings.Replace(degraded, `"incomplete":true,`, "", 1) != whole {
-		t.Fatalf("degraded answer differs beyond the marker:\ndegraded: %q\n   whole: %q", degraded, whole)
+	if got := c.Healthy(); got != 3 {
+		t.Fatalf("a shedding replica left the pool: %d usable, want 3", got)
 	}
 
-	// Every shard shedding: 429 is now the pool's verdict and relays
+	// Every replica shedding: 429 is now the pool's verdict and relays
 	// with its Retry-After.
 	for i := range shed {
 		shed[i].Store(true)
 	}
-	st, hdr, _ := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
-	if st != http.StatusTooManyRequests {
-		t.Fatalf("all-shed scatter: status %d, want 429", st)
-	}
-	if got := hdr.Get("Retry-After"); got != "3" {
-		t.Fatalf("all-shed Retry-After %q, want \"3\"", got)
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodGet, "/knn?s=0&k=5", ""},
+		{http.MethodGet, "/distance?s=0&t=1", ""},
+		{http.MethodPost, "/batch", batch},
+	} {
+		st, hdr, _ := do(t, req.method, coord.URL+req.path, req.body)
+		if st != http.StatusTooManyRequests {
+			t.Fatalf("all-shed %s: status %d, want 429", req.path, st)
+		}
+		if got := hdr.Get("Retry-After"); got != "3" {
+			t.Fatalf("all-shed %s: Retry-After %q, want \"3\"", req.path, got)
+		}
 	}
 }
 
@@ -413,7 +483,7 @@ func TestBatchChunkFailover(t *testing.T) {
 
 // TestIdentityMismatchExcluded serves two different indexes behind one
 // coordinator: the minority replica must be excluded from routing so
-// merged answers never mix indexes.
+// no answer comes from the wrong index.
 func TestIdentityMismatchExcluded(t *testing.T) {
 	a := buildOracle(t, "undirected")
 	b := buildOracle(t, "undirected-bp0") // different graph, different checksum
@@ -432,15 +502,16 @@ func TestIdentityMismatchExcluded(t *testing.T) {
 		t.Fatalf("mismatched replica not flagged: %s", hbody)
 	}
 
-	// The scatter denominator excludes the mismatched backend entirely:
-	// with both matching replicas up, answers are complete.
-	st, _, body := do(t, http.MethodGet, coord2.URL+"/knn?s=0&k=5", "")
-	if st != http.StatusOK || strings.Contains(body, `"incomplete"`) {
-		t.Fatalf("pool with excluded mismatch should answer complete: status %d body %s", st, body)
-	}
-	ds, _, dbody := do(t, http.MethodGet, urlsA[0]+"/knn?s=0&k=5", "")
-	if st != ds || body != dbody {
-		t.Fatalf("answer over mixed pool differs from majority index:\n coord: %q\ndirect: %q", body, dbody)
+	// Every request routes to one replica, so a minority replica left in
+	// rotation would answer about a third of these sources from the
+	// wrong index.
+	for src := 0; src < 24; src++ {
+		path := "/knn?s=" + strconv.Itoa(src) + "&k=5"
+		st, _, body := do(t, http.MethodGet, coord2.URL+path, "")
+		ds, _, dbody := do(t, http.MethodGet, urlsA[0]+path, "")
+		if st != ds || body != dbody {
+			t.Fatalf("%s over mixed pool differs from majority index:\n coord: %q\ndirect: %q", path, body, dbody)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 )
 
 // poolIdentity is the majority identity among healthy backends (the
-// identity scatters are served from), or false when nothing is healthy.
+// identity requests are served from), or false when nothing is healthy.
 func (c *Coordinator) poolIdentity() (identity, uint64, bool) {
 	for _, b := range c.backends {
 		if b.healthy.Load() && !b.mismatch.Load() {
@@ -82,13 +82,12 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"coordinator": map[string]any{
-			"uptime_seconds":      time.Since(c.start).Seconds(),
-			"backends":            len(c.backends),
-			"usable":              len(c.usable()),
-			"scatters":            c.scatters.Load(),
-			"scatters_incomplete": c.incomplete.Load(),
-			"hedges":              c.hedges.Load(),
-			"hedge_wins":          c.hedgeWins.Load(),
+			"uptime_seconds": time.Since(c.start).Seconds(),
+			"backends":       len(c.backends),
+			"usable":         len(c.usable()),
+			"failovers":      c.failovers.Load(),
+			"hedges":         c.hedges.Load(),
+			"hedge_wins":     c.hedgeWins.Load(),
 		},
 		"backends": backends,
 		"tracing":  c.stack.TraceStats(),
@@ -147,18 +146,15 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "pll_backend_hedges_total{backend=%q} %d\n", b.host, b.hedges.Load())
 	}
 
-	fmt.Fprintf(w, "# HELP pll_hedges_total Point lookups that fired a hedge request.\n")
+	fmt.Fprintf(w, "# HELP pll_hedges_total Routed requests that fired a hedge request.\n")
 	fmt.Fprintf(w, "# TYPE pll_hedges_total counter\n")
 	fmt.Fprintf(w, "pll_hedges_total %d\n", c.hedges.Load())
-	fmt.Fprintf(w, "# HELP pll_hedge_wins_total Hedged lookups answered by the hedge instead of the primary.\n")
+	fmt.Fprintf(w, "# HELP pll_hedge_wins_total Hedged requests answered by the hedge instead of the primary.\n")
 	fmt.Fprintf(w, "# TYPE pll_hedge_wins_total counter\n")
 	fmt.Fprintf(w, "pll_hedge_wins_total %d\n", c.hedgeWins.Load())
-	fmt.Fprintf(w, "# HELP pll_scatter_total Fan-out requests served (merged from per-shard answers).\n")
-	fmt.Fprintf(w, "# TYPE pll_scatter_total counter\n")
-	fmt.Fprintf(w, "pll_scatter_total %d\n", c.scatters.Load())
-	fmt.Fprintf(w, "# HELP pll_scatter_incomplete_total Fan-out requests served degraded (at least one shard missing).\n")
-	fmt.Fprintf(w, "# TYPE pll_scatter_incomplete_total counter\n")
-	fmt.Fprintf(w, "pll_scatter_incomplete_total %d\n", c.incomplete.Load())
+	fmt.Fprintf(w, "# HELP pll_failover_total Attempts walked past a failed or shedding backend.\n")
+	fmt.Fprintf(w, "# TYPE pll_failover_total counter\n")
+	fmt.Fprintf(w, "pll_failover_total %d\n", c.failovers.Load())
 	fmt.Fprintf(w, "# HELP pll_backends Configured backends.\n")
 	fmt.Fprintf(w, "# TYPE pll_backends gauge\n")
 	fmt.Fprintf(w, "pll_backends %d\n", len(c.backends))

@@ -80,7 +80,7 @@ func (c *Coordinator) healthSweep() {
 	for _, b := range c.backends {
 		if !b.healthy.Load() {
 			// Unreachable backends keep their previous mismatch verdict;
-			// flipping them to matching would shrink the scatter
+			// flipping them to matching would shrink the pool
 			// denominator and hide the degradation.
 			continue
 		}

@@ -8,8 +8,10 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -220,5 +222,25 @@ func TestRetryAfterPropagation(t *testing.T) {
 	forwarded, _ := gotClientID.Load().(string)
 	if forwarded == "" || forwarded[:10] != "tenant-42|" || len(forwarded) <= 10 {
 		t.Fatalf("backend saw identity headers %q; want X-Client-Id=tenant-42 and a non-empty X-Forwarded-For", forwarded)
+	}
+}
+
+// TestLatencyRingP99 checks the one-pass p99 against sorting the
+// window, at every fill level and after the ring wraps, with ties.
+func TestLatencyRingP99(t *testing.T) {
+	var lr latencyRing
+	if got := lr.p99(); got != 0 {
+		t.Fatalf("empty ring p99 = %v, want 0", got)
+	}
+	rnd := rand.New(rand.NewSource(3))
+	for i := 1; i <= 3*latencyWindow; i++ {
+		lr.add(time.Duration(rnd.Intn(40)) * time.Millisecond)
+		n := min(i, latencyWindow)
+		window := append([]time.Duration(nil), lr.buf[:n]...)
+		sort.Slice(window, func(a, b int) bool { return window[a] < window[b] })
+		want := window[(99*n+99)/100-1]
+		if got := lr.p99(); got != want {
+			t.Fatalf("after %d samples: p99 = %v, want %v", i, got, want)
+		}
 	}
 }

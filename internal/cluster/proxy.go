@@ -1,19 +1,19 @@
 package cluster
 
-// Point-lookup proxying: /distance and /path are answered by exactly
-// one replica, chosen by rendezvous hashing over the request's query
-// string so the same pair keeps hitting the same replica's distance
-// cache. Resilience comes from two mechanisms with different clocks:
+// Request routing: every endpoint but /batch is answered by exactly
+// one replica, chosen by rendezvous hashing over the request's path,
+// query and body so the same request keeps hitting the same replica's
+// caches. Resilience comes from two mechanisms with different clocks:
 // failover walks down the rendezvous ranking when an attempt fails
-// (transport error or backend 5xx), and a hedge fires a duplicate
-// attempt at the next-ranked backend when the primary is slower than
-// its own recent p99 — whichever attempt answers first wins and the
-// loser's request context is canceled.
+// (transport error or backend 5xx) or sheds (429), and a hedge fires a
+// duplicate attempt at the next-ranked backend when the primary is
+// slower than its own recent p99 — whichever attempt answers first
+// wins and the loser's request context is canceled.
 //
 // Backend responses relay verbatim — status, Content-Type, Retry-After
 // and body bytes — so a routed answer is byte-identical to asking the
-// replica directly, and a replica's 429 reaches the caller with its
-// Retry-After intact.
+// replica directly, and when every replica sheds, a 429 reaches the
+// caller with its Retry-After intact.
 
 import (
 	"bytes"
@@ -44,7 +44,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSONBytes writes pre-marshaled JSON (merged scatter responses).
+// writeJSONBytes writes pre-marshaled JSON (reassembled /batch answers).
 func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -53,7 +53,7 @@ func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
 
 // marshalResponse marshals a response map with a trailing newline —
 // the exact wire shape the replicas' json.Encoder produces, which is
-// what keeps merged coordinator responses byte-identical to a single
+// what keeps reassembled /batch responses byte-identical to a single
 // node's.
 func marshalResponse(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
@@ -82,8 +82,8 @@ func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) 
 }
 
 // checkFanout bounds a client-controlled count by MaxBatch before any
-// scatter: the coordinator must shed an oversized fan-out itself, not
-// amplify it across the pool first.
+// backend sees it: the coordinator sheds an oversized fan-out itself,
+// with the replica's exact rejection.
 func (c *Coordinator) checkFanout(w http.ResponseWriter, name string, v int) bool {
 	if v < 1 || v > c.cfg.MaxBatch {
 		writeError(w, http.StatusBadRequest, "%s=%d outside [1,%d]", name, v, c.cfg.MaxBatch)
@@ -152,9 +152,16 @@ type proxyResult struct {
 }
 
 // answered reports whether the backend produced a usable answer: any
-// response below 500 (4xx is the client's problem, relayed verbatim).
+// response below 500 (4xx is the client's problem, relayed verbatim)
+// except a 429, which only says this replica is loaded.
 func (pr *proxyResult) answered() bool {
-	return pr.err == nil && pr.status < http.StatusInternalServerError
+	return pr.err == nil && pr.status < http.StatusInternalServerError && pr.status != http.StatusTooManyRequests
+}
+
+// shed reports whether the backend's admission control rejected the
+// attempt.
+func (pr *proxyResult) shed() bool {
+	return pr.err == nil && pr.status == http.StatusTooManyRequests
 }
 
 // errBreakerOpen marks an attempt the breaker rejected at send time
@@ -189,10 +196,10 @@ func (c *Coordinator) fetch(ctx context.Context, b *backend, in *http.Request, m
 		req.Header.Set("Content-Type", "application/json")
 	}
 	forwardHeaders(req, in)
-	// One child span per backend attempt — a scatter leg, a hedge, a
-	// failover hop — under the coordinator's request span, with the
-	// attempt's span ID forwarded as the replica's traceparent parent so
-	// the replica's own trace joins the same tree.
+	// One child span per backend attempt — a routed request, a hedge, a
+	// failover hop, a /batch chunk — under the coordinator's request
+	// span, with the attempt's span ID forwarded as the replica's
+	// traceparent parent so the replica's own trace joins the same tree.
 	treq := trace.FromContext(in.Context())
 	sp := treq.StartSpan("backend " + b.host)
 	sp.SetAttr("path", pathQuery)
@@ -284,98 +291,108 @@ func relay(w http.ResponseWriter, pr *proxyResult) {
 	w.Write(pr.body) //nolint:errcheck // nothing to do for a dead client
 }
 
-// pointHandler serves one point-lookup endpoint (/distance, /path) by
-// routing to the rendezvous-ranked backends with hedging and failover.
-// Point lookups fail fast: with no usable backend the caller gets an
-// immediate 503 rather than a degraded answer — a distance is either
-// exact or an error.
-func (c *Coordinator) pointHandler(name string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		pathQuery := r.URL.Path
-		if r.URL.RawQuery != "" {
-			pathQuery += "?" + r.URL.RawQuery
-		}
-		ranked := c.rank(hashName(pathQuery))
-		if len(ranked) == 0 {
-			writeError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
-			return
-		}
+// handlePoint serves the point lookups (/distance, /path), routed on
+// the query string exactly as the client sent it.
+func (c *Coordinator) handlePoint(w http.ResponseWriter, r *http.Request) {
+	c.route(w, r, http.MethodGet, r.URL.RequestURI(), nil)
+}
 
-		ctx := r.Context()
-		// Buffered to the maximum number of attempts, so a loser's
-		// goroutine can always deliver its result and exit after the
-		// handler returned — no reaper, no leak.
-		results := make(chan *proxyResult, len(ranked))
-		cancels := make([]func(), 0, len(ranked))
-		defer func() {
-			for _, cancel := range cancels {
-				cancel()
-			}
+// route answers one request from a single replica, ranked by
+// rendezvous hashing over pathQuery and body: the same request keeps
+// hitting the same replica's caches. An attempt that fails (transport
+// error, 5xx) or sheds (429) fails over to the next-ranked replica, and
+// a slow primary is hedged. The winner's response relays verbatim. When
+// every replica failed, a 429 is relayed if any replica shed (a 429
+// means one replica is loaded, not that the request is bad), else the
+// last 5xx, else a 502. With no usable backend the caller gets an
+// immediate 503: an answer is either exact or an error.
+func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, method, pathQuery string, body []byte) {
+	ranked := c.rank(routeKey(pathQuery, body))
+	if len(ranked) == 0 {
+		writeError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
+		return
+	}
+
+	ctx := r.Context()
+	// Buffered to the maximum number of attempts, so a loser's
+	// goroutine can always deliver its result and exit after the
+	// handler returned — no reaper, no leak.
+	results := make(chan *proxyResult, len(ranked))
+	cancels := make([]func(), 0, len(ranked))
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
+	launched := 0
+	launch := func(hedged bool) {
+		b := ranked[launched]
+		launched++
+		// WithCancelCause under the timeout: when the handler returns
+		// because another attempt won, the losers are canceled with
+		// errAttemptSuperseded and their spans record that cause.
+		actx, acancel := context.WithCancelCause(ctx)
+		tctx, tcancel := context.WithTimeout(actx, c.cfg.RequestTimeout)
+		cancels = append(cancels, func() {
+			acancel(errAttemptSuperseded)
+			tcancel()
+		})
+		if hedged {
+			c.hedges.Add(1)
+			b.hedges.Add(1)
+		}
+		go func() {
+			results <- c.fetch(tctx, b, r, method, pathQuery, body, hedged)
 		}()
-		launched := 0
-		launch := func(hedged bool) {
-			b := ranked[launched]
-			launched++
-			// WithCancelCause under the timeout: when the handler returns
-			// because another attempt won, the losers are canceled with
-			// errAttemptSuperseded and their spans record that cause.
-			actx, acancel := context.WithCancelCause(ctx)
-			tctx, tcancel := context.WithTimeout(actx, c.cfg.RequestTimeout)
-			cancels = append(cancels, func() {
-				acancel(errAttemptSuperseded)
-				tcancel()
-			})
-			if hedged {
-				c.hedges.Add(1)
-				b.hedges.Add(1)
-			}
-			go func() {
-				results <- c.fetch(tctx, b, r, http.MethodGet, pathQuery, nil, hedged)
-			}()
-		}
-		launch(false)
+	}
+	launch(false)
 
-		hedgeTimer := time.NewTimer(c.hedgeDelay(ranked[0]))
-		defer hedgeTimer.Stop()
+	hedgeTimer := time.NewTimer(c.hedgeDelay(ranked[0]))
+	defer hedgeTimer.Stop()
 
-		var lastFail *proxyResult
-		received := 0
-		for {
-			select {
-			case pr := <-results:
-				received++
-				if pr.answered() {
-					if pr.hedged {
-						c.hedgeWins.Add(1)
-					}
-					relay(w, pr)
-					return
+	var shed, lastFail *proxyResult
+	received := 0
+	for {
+		select {
+		case pr := <-results:
+			received++
+			switch {
+			case pr.answered():
+				if pr.hedged {
+					c.hedgeWins.Add(1)
 				}
+				relay(w, pr)
+				return
+			case pr.shed():
+				shed = pr
+			default:
 				lastFail = pr
-				if launched < len(ranked) {
-					launch(false)
-				} else if received == launched {
-					// Every attempt failed: relay the last backend 5xx if
-					// one answered, else report the transport error.
-					if lastFail.err == nil {
-						relay(w, lastFail)
-					} else {
-						writeError(w, http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err)
-					}
-					return
+			}
+			if launched < len(ranked) {
+				c.failovers.Add(1)
+				launch(false)
+			} else if received == launched {
+				switch {
+				case shed != nil:
+					relay(w, shed)
+				case lastFail.err == nil:
+					relay(w, lastFail)
+				default:
+					writeError(w, http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err)
 				}
-			case <-hedgeTimer.C:
-				if launched < len(ranked) {
-					launch(true)
-				}
-			case <-ctx.Done():
-				// The client went away before any attempt answered: stamp
-				// the nginx-style client-closed-request status so the
-				// Instrument layer doesn't book an abandoned lookup as an
-				// implicit 200.
-				w.WriteHeader(statusClientClosedRequest)
 				return
 			}
+		case <-hedgeTimer.C:
+			if launched < len(ranked) {
+				launch(true)
+			}
+		case <-ctx.Done():
+			// The client went away before any attempt answered: stamp
+			// the nginx-style client-closed-request status so the
+			// Instrument layer doesn't book an abandoned lookup as an
+			// implicit 200.
+			w.WriteHeader(statusClientClosedRequest)
+			return
 		}
 	}
 }

@@ -1,10 +1,10 @@
 package cluster
 
-// Distributed-tracing behavior at the coordinator: a scatter's trace
-// carries one child span per live shard with the forwarded traceparent
-// joining the replica's own trace to the same tree, and a hedged point
-// lookup's losing attempt shows up as a span canceled with the
-// "superseded" cause. Run under -race in CI: spans for losers finish
+// Distributed-tracing behavior at the coordinator: a routed search's
+// trace carries one child span for the replica that answered, with the
+// forwarded traceparent joining that replica's own trace to the same
+// tree, and a hedged point lookup's losing attempt shows up as a span
+// canceled with the "superseded" cause. Run under -race in CI: spans for losers finish
 // after the handler has returned.
 
 import (
@@ -84,57 +84,59 @@ func fetchTrace(t *testing.T, coordURL, tid string, want int) *clusterTrace {
 	return nil
 }
 
-// TestScatterTraceOneSpanPerShard runs a sampled /knn scatter over real
-// replicas and asserts the coordinator's trace holds one finished child
-// span per live shard, each carrying the shard's path and a 200 status,
-// and that the replica it hit adopted the same trace ID (the forwarded
-// traceparent stitched both tiers into one tree).
-func TestScatterTraceOneSpanPerShard(t *testing.T) {
+// TestRoutedTraceOneBackendSpan runs a sampled /knn over real
+// replicas and asserts the coordinator's trace holds exactly one
+// finished backend span, carrying the canonical path and a 200 status,
+// and that the replica it names adopted the same trace ID (the
+// forwarded traceparent stitched both tiers into one tree) while the
+// replicas it did not ask never saw the trace.
+func TestRoutedTraceOneBackendSpan(t *testing.T) {
 	o := buildOracle(t, "undirected")
 	// Replicas sample nothing on their own: only the coordinator's
 	// forwarded sampled flag can put the request into a replica's ring.
 	urls, replicas := startReplicas(t, o, 3, server.Config{TraceSampleRate: 0})
 	_, coord := startCoordinator(t, urls, func(cfg *Config) {
 		cfg.Stack.Tracer = newTestTracer(1)
+		// No hedge: the trace must hold exactly the one routed attempt.
+		cfg.HedgeAfter = time.Hour
 	})
 
-	st, hdr, _ := do(t, http.MethodGet, coord.URL+"/knn?s=0&k=5", "")
+	st, hdr, _ := do(t, http.MethodGet, coord.URL+"/knn?k=5&s=0", "")
 	if st != http.StatusOK {
-		t.Fatalf("scatter status %d", st)
+		t.Fatalf("routed /knn status %d", st)
 	}
 	tid := hdr.Get("X-Trace-Id")
 	if tid == "" {
-		t.Fatal("no X-Trace-Id on the scatter response")
+		t.Fatal("no X-Trace-Id on the routed response")
 	}
 
-	tr := fetchTrace(t, coord.URL, tid, 3)
+	tr := fetchTrace(t, coord.URL, tid, 1)
 	if tr.Root.Name != "knn" {
 		t.Fatalf("root span %q, want \"knn\"", tr.Root.Name)
 	}
 	legs := backendSpans(tr.Root)
-	if len(legs) != 3 {
-		t.Fatalf("%d backend spans, want one per live shard (3)", len(legs))
+	if len(legs) != 1 {
+		t.Fatalf("%d backend spans, want 1 (the routed attempt)", len(legs))
 	}
-	for _, sp := range legs {
-		if sp.Attrs["status"] != "200" {
-			t.Fatalf("scatter leg %q attrs = %v, want status=200", sp.Name, sp.Attrs)
-		}
-		if !strings.HasPrefix(sp.Attrs["path"], "/knn?") {
-			t.Fatalf("scatter leg %q path attr = %q", sp.Name, sp.Attrs["path"])
-		}
+	sp := legs[0]
+	if sp.Attrs["status"] != "200" {
+		t.Fatalf("backend span %q attrs = %v, want status=200", sp.Name, sp.Attrs)
+	}
+	if sp.Attrs["path"] != "/knn?s=0&k=5" {
+		t.Fatalf("backend span path attr = %q, want the canonical /knn?s=0&k=5", sp.Attrs["path"])
 	}
 
-	// The forwarded traceparent put the same trace into each replica's
-	// own ring: the two tiers share one trace ID.
-	joined := 0
+	// The forwarded traceparent put the same trace into the serving
+	// replica's own ring, and into no other replica's.
 	for _, rts := range replicas {
 		st, _, _ := do(t, http.MethodGet, rts.URL+"/debug/traces?id="+tid, "")
-		if st == http.StatusOK {
-			joined++
+		serving := strings.HasSuffix(sp.Name, strings.TrimPrefix(rts.URL, "http://"))
+		if serving && st != http.StatusOK {
+			t.Fatalf("serving replica %s did not adopt trace %s (status %d)", rts.URL, tid, st)
 		}
-	}
-	if joined != 3 {
-		t.Fatalf("%d replicas adopted the coordinator's trace id, want 3", joined)
+		if !serving && st == http.StatusOK {
+			t.Fatalf("replica %s holds trace %s but never served it", rts.URL, tid)
+		}
 	}
 }
 
