@@ -182,6 +182,13 @@ var conformanceRequests = []struct {
 	{"query-and", http.MethodPost, "/query", `{"where":{"and":[{"near":{"source":0,"max_dist":4}},{"near":{"source":7,"max_dist":5}}]}}`},
 	{"query-ranked", http.MethodPost, "/query", `{"where":{"near":{"source":5,"max_dist":4}},"rank":{"by":"max","terms":[{"source":5,"weight":2},{"source":13}]},"k":5}`},
 	{"query-invalid", http.MethodPost, "/query", `{}`},
+	// Strict bodies: a misspelled or unknown field, or a second JSON
+	// value after the body, is a 400 on both tiers, never a silently
+	// different request.
+	{"nearest-unknown-field", http.MethodPost, "/nearest", `{"src":3,"set":[1,5,9],"k":1}`},
+	{"query-misspelled-max-dist", http.MethodPost, "/query", `{"where":{"near":{"source":0,"maxdist":4}},"k":5}`},
+	{"query-unknown-clause", http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":4},"nor":[{"near":{"source":7,"max_dist":5}}]}}`},
+	{"batch-concatenated", http.MethodPost, "/batch", `{"pairs":[[0,1]]}{"pairs":[[2,3]]}`},
 }
 
 // TestCoordinatorByteIdentical is the core contract: with a whole
@@ -209,28 +216,39 @@ func TestCoordinatorByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCoordinatorFanoutCaps pins that oversized fan-outs are shed at
-// the coordinator with the replica's exact rejection, before any
-// scatter (the amplification guard).
-func TestCoordinatorFanoutCaps(t *testing.T) {
+// fanoutCapRequests are requests over the caps of a pool run with
+// MaxBatch 4 and MaxBody 256 on both tiers.
+var fanoutCapRequests = []struct {
+	name, method, path, body string
+	wantStatus               int
+}{
+	{"batch-over", http.MethodPost, "/batch", `{"pairs":[[0,1],[1,2],[2,3],[3,4],[4,5]]}`, http.StatusRequestEntityTooLarge},
+	{"knn-over", http.MethodGet, "/knn?s=0&k=5", "", http.StatusBadRequest},
+	{"range-limit-over", http.MethodGet, "/range?s=0&r=3&limit=9", "", http.StatusBadRequest},
+	{"nearest-set-over", http.MethodPost, "/nearest", `{"source":0,"set":[1,2,3,4,5],"k":2}`, http.StatusBadRequest},
+	{"query-k-over", http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":3}},"k":9}`, http.StatusBadRequest},
+	{"body-over", http.MethodPost, "/nearest", `{"source":0,"set":[` + strings.Repeat("1,", 200) + `1],"k":1}`, http.StatusRequestEntityTooLarge},
+}
+
+// startCappedPool runs a coordinator over 2 replicas with MaxBatch 4
+// and MaxBody 256 on both tiers.
+func startCappedPool(t testing.TB) ([]string, *httptest.Server) {
+	t.Helper()
 	o := buildOracle(t, "undirected")
-	cfg := server.Config{MaxBatch: 4, MaxBody: 256}
-	urls, _ := startReplicas(t, o, 2, cfg)
+	urls, _ := startReplicas(t, o, 2, server.Config{MaxBatch: 4, MaxBody: 256})
 	_, coord := startCoordinator(t, urls, func(c *Config) {
 		c.MaxBatch = 4
 		c.MaxBody = 256
 	})
-	for _, req := range []struct {
-		name, method, path, body string
-		wantStatus               int
-	}{
-		{"batch-over", http.MethodPost, "/batch", `{"pairs":[[0,1],[1,2],[2,3],[3,4],[4,5]]}`, http.StatusRequestEntityTooLarge},
-		{"knn-over", http.MethodGet, "/knn?s=0&k=5", "", http.StatusBadRequest},
-		{"range-limit-over", http.MethodGet, "/range?s=0&r=3&limit=9", "", http.StatusBadRequest},
-		{"nearest-set-over", http.MethodPost, "/nearest", `{"source":0,"set":[1,2,3,4,5],"k":2}`, http.StatusBadRequest},
-		{"query-k-over", http.MethodPost, "/query", `{"where":{"near":{"source":0,"max_dist":3}},"k":9}`, http.StatusBadRequest},
-		{"body-over", http.MethodPost, "/nearest", `{"source":0,"set":[` + strings.Repeat("1,", 200) + `1],"k":1}`, http.StatusRequestEntityTooLarge},
-	} {
+	return urls, coord
+}
+
+// TestCoordinatorFanoutCaps pins that oversized fan-outs are shed at
+// the coordinator with the replica's exact rejection, before any
+// scatter (the amplification guard).
+func TestCoordinatorFanoutCaps(t *testing.T) {
+	urls, coord := startCappedPool(t)
+	for _, req := range fanoutCapRequests {
 		t.Run(req.name, func(t *testing.T) {
 			ds, _, dbody := do(t, req.method, urls[0]+req.path, req.body)
 			cs, _, cbody := do(t, req.method, coord.URL+req.path, req.body)
@@ -241,6 +259,22 @@ func TestCoordinatorFanoutCaps(t *testing.T) {
 				t.Fatalf("coordinator rejection differs from direct:\n coord: %q\ndirect: %q", cbody, dbody)
 			}
 		})
+	}
+}
+
+// TestCoordinatorForwardsBodyVerbatim pins that a search body reaches
+// the replica as the client sent it. Its canonical form, which only
+// picks the replica, can be longer (defaults spelled out) and would
+// cross a body cap the original fits under.
+func TestCoordinatorForwardsBodyVerbatim(t *testing.T) {
+	o := buildOracle(t, "undirected")
+	urls, _ := startReplicas(t, o, 2, server.Config{MaxBody: 40})
+	_, coord := startCoordinator(t, urls, func(c *Config) { c.MaxBody = 40 })
+	body := `{"where":{"near":{"source":1}},"k":5}`
+	ds, _, dbody := do(t, http.MethodPost, urls[0]+"/query", body)
+	cs, _, cbody := do(t, http.MethodPost, coord.URL+"/query", body)
+	if ds != http.StatusOK || cs != ds || cbody != dbody {
+		t.Fatalf("coord %d %q, direct %d %q", cs, cbody, ds, dbody)
 	}
 }
 
@@ -478,6 +512,25 @@ func TestBatchChunkFailover(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("failover batch differs:\n got: %q\nwant: %q", got, want)
+	}
+}
+
+// TestBatchShortChunkRejected pins that a replica answering a /batch
+// chunk with the wrong number of distances fails the batch with a 502
+// instead of shifting every later answer onto the wrong pair.
+func TestBatchShortChunkRejected(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"status":"ok","variant":"test","generation":1,"vertices":10,"checksum":"c"}`+"\n")
+	})
+	mux.HandleFunc("POST /batch", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `{"count":1,"distances":[1]}`+"\n")
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	_, coord := startCoordinator(t, []string{ts.URL}, nil)
+	if status, _, body := do(t, http.MethodPost, coord.URL+"/batch", `{"pairs":[[0,1],[2,3]]}`); status != http.StatusBadGateway {
+		t.Fatalf("short chunk answer: status %d (%s), want 502", status, body)
 	}
 }
 

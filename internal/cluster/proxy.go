@@ -18,105 +18,32 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 )
 
 // statusClientClosedRequest is nginx's non-standard status for a
 // client that disconnected before the response was written.
 const statusClientClosedRequest = 499
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeJSONBytes writes pre-marshaled JSON (reassembled /batch answers).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body) //nolint:errcheck // nothing to do for a dead client
-}
-
-// marshalResponse marshals a response map with a trailing newline —
-// the exact wire shape the replicas' json.Encoder produces, which is
-// what keeps reassembled /batch responses byte-identical to a single
-// node's.
-func marshalResponse(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// decodeBody mirrors the replica servers' body decoding bit for bit —
-// same size cap, same 413/400 split, same messages — so a request the
-// coordinator rejects gets the byte-identical rejection a replica
-// would have sent.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeBody reads a JSON request body under the configured size cap,
+// writing the rejection itself (see wire.Decode), and returns the body
+// bytes it read so a search can be forwarded exactly as the client
+// sent it.
+func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v any) ([]byte, bool) {
+	var raw bytes.Buffer
 	r.Body = http.MaxBytesReader(w, r.Body, c.cfg.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// checkFanout bounds a client-controlled count by MaxBatch before any
-// backend sees it: the coordinator sheds an oversized fan-out itself,
-// with the replica's exact rejection.
-func (c *Coordinator) checkFanout(w http.ResponseWriter, name string, v int) bool {
-	if v < 1 || v > c.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "%s=%d outside [1,%d]", name, v, c.cfg.MaxBatch)
-		return false
-	}
-	return true
-}
-
-// queryInt32 parses one required int32 query parameter (message-
-// identical to the replicas').
-func queryInt32(r *http.Request, name string) (int32, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.ParseInt(raw, 10, 32)
+	err := wire.Decode(io.TeeReader(r.Body, &raw), v)
 	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
+		wire.Reject(w, err)
 	}
-	return int32(v), nil
-}
-
-// queryInt64 parses one required int64 query parameter.
-func queryInt64(r *http.Request, name string) (int64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing query parameter %q", name)
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, raw)
-	}
-	return v, nil
+	return raw.Bytes(), err == nil
 }
 
 func clientIP(r *http.Request) string {
@@ -294,22 +221,25 @@ func relay(w http.ResponseWriter, pr *proxyResult) {
 // handlePoint serves the point lookups (/distance, /path), routed on
 // the query string exactly as the client sent it.
 func (c *Coordinator) handlePoint(w http.ResponseWriter, r *http.Request) {
-	c.route(w, r, http.MethodGet, r.URL.RequestURI(), nil)
+	c.route(w, r, http.MethodGet, r.URL.RequestURI(), nil, nil)
 }
 
 // route answers one request from a single replica, ranked by
-// rendezvous hashing over pathQuery and body: the same request keeps
-// hitting the same replica's caches. An attempt that fails (transport
-// error, 5xx) or sheds (429) fails over to the next-ranked replica, and
-// a slow primary is hedged. The winner's response relays verbatim. When
+// rendezvous hashing over pathQuery and the canonical body canon: the
+// same request keeps hitting the same replica's caches. body is
+// forwarded as the client sent it, so the replica reads exactly the
+// bytes a direct request would carry (a canonical re-encoding can be
+// longer than the original and cross the replica's body cap). An
+// attempt that fails (transport error, 5xx) or sheds (429) fails over
+// to the next-ranked replica, and a slow primary is hedged. The winner's response relays verbatim. When
 // every replica failed, a 429 is relayed if any replica shed (a 429
 // means one replica is loaded, not that the request is bad), else the
 // last 5xx, else a 502. With no usable backend the caller gets an
 // immediate 503: an answer is either exact or an error.
-func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, method, pathQuery string, body []byte) {
-	ranked := c.rank(routeKey(pathQuery, body))
+func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, method, pathQuery string, canon, body []byte) {
+	ranked := c.rank(routeKey(pathQuery, canon))
 	if len(ranked) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends))
+		wire.Reject(w, wire.Errorf(http.StatusServiceUnavailable, "no usable backends (%d configured)", len(c.backends)))
 		return
 	}
 
@@ -378,7 +308,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, method, path
 				case lastFail.err == nil:
 					relay(w, lastFail)
 				default:
-					writeError(w, http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err)
+					wire.Reject(w, wire.Errorf(http.StatusBadGateway, "backend %s: %v", lastFail.b.host, lastFail.err))
 				}
 				return
 			}

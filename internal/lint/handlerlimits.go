@@ -12,12 +12,14 @@ import (
 //
 // The serving surface is exposed to untrusted clients, so two limits
 // are load-bearing: the request body must pass through
-// http.MaxBytesReader before any decoder touches it (Server.decodeBody
-// is the blessed wrapper), and any client-controlled fan-out — a
-// decoded slice, a count — must be bounded by Config.MaxBatch (via
-// Server.checkFanout or an explicit comparison). The analyzer resolves
-// each mux registration whose pattern carries the POST method, walks
-// the handler's same-package call closure, and reports
+// http.MaxBytesReader before any decoder touches it (each serving tier
+// keeps a small same-package decodeBody that installs the cap, then
+// hands the body to the shared decoder), and any client-controlled
+// fan-out — a decoded slice, a count — must be bounded by
+// Config.MaxBatch (a checkFanout call, an explicit comparison, or the
+// MaxBatch handed to a validator from another package). The analyzer
+// resolves each mux registration whose pattern carries the POST
+// method, walks the handler's same-package call closure, and reports
 //
 //	(a) closures that never reach http.MaxBytesReader, with a fix that
 //	    inserts the cap at the top of the handler, and

@@ -22,8 +22,9 @@
 //   - capassert: capability interfaces (pll.Batcher, pll.Searcher,
 //     pll.Closer) are probed with the two-result form, and Searcher
 //     errors (ErrNoSearch, ErrStaleSet) are never discarded.
-//   - handlerlimits: every POST handler wires http.MaxBytesReader (via
-//     Server.decodeBody) before touching a request body.
+//   - handlerlimits: every POST handler wires http.MaxBytesReader
+//     (through its package's decodeBody) before touching a request
+//     body, and caps decoded fan-out by MaxBatch.
 //   - profilescope: request-scoped trace profiles (trace.FromContext,
 //     trace.ProfileFromContext) are never stored past the handler that
 //     owns them.

@@ -12,70 +12,40 @@ package server
 //	 "rank": {"by": "sum", "terms": [{"source": 3, "weight": 2}]},
 //	 "k": 10}
 //
-// Structural validation happens before the oracle is touched, so a
-// hostile body fails with 400 without pinning a snapshot, and the
-// clause fan-out (near and in leaves plus ranking terms) is capped by
-// Config.MaxBatch like every other client-controlled knob.
+// Structural validation (wire.Query) happens before the oracle is
+// touched, so a hostile body fails with 400 without pinning a snapshot,
+// and the clause fan-out (near and in leaves plus ranking terms) is
+// capped by Config.MaxBatch like every other client-controlled knob.
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 	"pll/pll"
 )
-
-// writeJSONBytes writes pre-marshaled JSON (cached responses).
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body) //nolint:errcheck // nothing to do for a dead client
-}
-
-// marshalResponse marshals a response map with a trailing newline, the
-// same wire shape json.Encoder produces in writeJSON.
-func marshalResponse(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req pll.CompositeRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := req.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	// Normalizing before keying makes the cache canonical: requests that
-	// differ only in defaults ("by":"sum" vs omitted, unsorted "in"
-	// members) collapse onto one entry.
-	req.Normalize()
-	if !s.checkFanout(w, "constraint fan-out", req.Fanout()) {
-		return
-	}
-	if req.K > s.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "k=%d outside [0,%d]", req.K, s.cfg.MaxBatch)
-		return
-	}
-	canon, err := json.Marshal(&req)
+	// The canonical form keys the cache: requests that differ only in
+	// defaults ("by":"sum" vs omitted, unsorted "in" members) collapse
+	// onto one entry.
+	canon, err := wire.Query(&req, s.cfg.MaxBatch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.Reject(w, err)
 		return
 	}
 	p := trace.ProfileFromContext(r.Context())
-	key := "query:" + string(canon)
+	key := string(canon)
 	if body, ok := s.results.get("query", key); ok {
 		p.CacheLookup(true)
 		s.composites.Add(1)
-		writeJSONBytes(w, http.StatusOK, body)
+		wire.WriteBytes(w, http.StatusOK, body)
 		return
 	}
 	p.CacheLookup(false)
@@ -98,11 +68,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		if errors.Is(err, pll.ErrNoSearch) {
-			writeError(w, http.StatusConflict, "served index does not support composite queries (a live dynamic index cannot be inverted; serve a frozen snapshot)")
+			wire.Reject(w, wire.Errorf(http.StatusConflict, "served index does not support composite queries (a live dynamic index cannot be inverted; serve a frozen snapshot)"))
 		} else {
 			// Remaining failures are request-shaped: vertices out of range
 			// for the served index.
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.Reject(w, err)
 		}
 		return
 	}
@@ -118,7 +88,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if matches == nil {
 		matches = []pll.CompositeMatch{}
 	}
-	body, err := marshalResponse(map[string]any{
+	body, err := wire.Marshal(map[string]any{
 		"count":       len(matches),
 		"total":       res.Total,
 		"total_exact": res.Exact,
@@ -126,15 +96,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		"matches":     matches,
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		wire.Reject(w, wire.Errorf(http.StatusInternalServerError, "%v", err))
 		return
 	}
 	s.results.put(epoch, key, body)
 	s.composites.Add(1)
-	writeJSONBytes(w, http.StatusOK, body)
-}
-
-// queryCacheKeyKNN canonicalizes a /knn request for the result cache.
-func queryCacheKeyKNN(s int32, k int32) string {
-	return fmt.Sprintf("knn:s=%d&k=%d", s, k)
+	wire.WriteBytes(w, http.StatusOK, body)
 }

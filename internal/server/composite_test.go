@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"sort"
 	"testing"
@@ -197,6 +198,11 @@ func TestQueryHandlerHardening(t *testing.T) {
 	postJSON(t, ts.URL+"/query", &pll.CompositeRequest{
 		Where: near(0, 2), Rank: &pll.CompositeRank{By: "median"},
 	}, http.StatusBadRequest, nil)
+
+	// Unknown fields: a misspelled radius is not radius 0, and an
+	// unknown clause is not dropped.
+	postJSON(t, ts.URL+"/query", json.RawMessage(`{"where":{"near":{"source":0,"maxdist":4}}}`), http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/query", json.RawMessage(`{"where":{"near":{"source":0,"max_dist":2},"nor":[{"near":{"source":1,"max_dist":2}}]}}`), http.StatusBadRequest, nil)
 
 	// Vertices beyond the served index.
 	postJSON(t, ts.URL+"/query", &pll.CompositeRequest{Where: near(99, 2)}, http.StatusBadRequest, nil)

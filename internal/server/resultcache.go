@@ -9,11 +9,11 @@ import (
 // search requests to their marshaled JSON responses. It closes the gap
 // the pair cache leaves open: /knn and /query answers cost a full merge
 // or constraint scan, so repeating a hot request used to repeat the
-// work while /distance hits stayed free. Keys carry the endpoint name
-// ("knn:s=3&k=8", "query:" + canonical JSON), values are the exact
-// response bytes, and the same epoch protocol as pairCache keeps a
-// slow request from depositing a pre-mutation answer after an /update
-// or /reload purge. Hits and misses are tracked per endpoint so /stats
+// work while /distance hits stayed free. Keys are the canonical forms
+// internal/wire defines ("/knn?s=3&k=8", the canonical /query JSON,
+// which cannot collide), values are the exact response bytes, and the
+// same epoch protocol as pairCache keeps a slow request from
+// depositing a pre-mutation answer after an /update or /reload purge. Hits and misses are tracked per endpoint so /stats
 // can show which surface the cache is actually earning on.
 type resultCache struct {
 	shards [numShards]resultShard

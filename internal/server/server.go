@@ -3,8 +3,6 @@ package server
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -15,6 +13,7 @@ import (
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -200,29 +199,14 @@ func (s *Server) Drain(ctx context.Context) error { return s.stack.Drain(ctx) }
 // Oracle returns the served oracle (shared, not a copy).
 func (s *Server) Oracle() *pll.ConcurrentOracle { return s.oracle }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // decodeBody reads a JSON request body under the configured size cap,
-// writing the error response itself when the body is oversized (413)
-// or malformed (400). A hostile Content-Length or an endless stream
-// can therefore never force an unbounded read or allocation.
+// writing the rejection itself (see wire.Decode). A hostile
+// Content-Length or an endless stream can therefore never force an
+// unbounded read or allocation.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad JSON body: %v", err)
-		}
+	if err := wire.Decode(r.Body, v); err != nil {
+		wire.Reject(w, err)
 		return false
 	}
 	return true
@@ -256,7 +240,7 @@ func queryPair(r *http.Request) (int32, int32, error) {
 // serve different indexes; a bare 200 cannot carry that contract.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	st := s.cachedStats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"variant":    st.Variant.String(),
 		"generation": s.oracle.Generation(),
@@ -300,14 +284,14 @@ type distanceResponse struct {
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 	sv, tv, err := queryPair(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.Reject(w, err)
 		return
 	}
 	p := trace.ProfileFromContext(r.Context())
 	if d, ok := s.cache.get(sv, tv); ok {
 		p.CacheLookup(true)
 		s.queries.Add(1)
-		writeJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable, Cached: true})
+		wire.WriteJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable, Cached: true})
 		return
 	}
 	p.CacheLookup(false)
@@ -330,18 +314,18 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.Reject(w, err)
 		return
 	}
 	s.cache.put(epoch, sv, tv, d)
 	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable})
+	wire.WriteJSON(w, http.StatusOK, distanceResponse{S: sv, T: tv, Distance: d, Reachable: d != pll.Unreachable})
 }
 
 func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	sv, tv, err := queryPair(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.Reject(w, err)
 		return
 	}
 	var p []int32
@@ -356,12 +340,12 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		if badInput {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.Reject(w, err)
 		} else {
 			// The index exists but cannot answer path queries (not built
 			// WithPaths, or a dynamic index): the conflict is with the
 			// server's resource, not the request.
-			writeError(w, http.StatusConflict, "%v", err)
+			wire.Reject(w, wire.Errorf(http.StatusConflict, "%v", err))
 		}
 		return
 	}
@@ -371,36 +355,19 @@ func (s *Server) handlePath(w http.ResponseWriter, r *http.Request) {
 		resp["path"] = p
 		resp["hops"] = len(p) - 1
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// batchRequest asks for many distances at once: either explicit pairs,
-// or one source against many targets (the amortized single-source
-// form, answered with one label scan per target on undirected static
-// indexes).
-type batchRequest struct {
-	Pairs   [][2]int32 `json:"pairs,omitempty"`
-	Source  *int32     `json:"source,omitempty"`
-	Targets []int32    `json:"targets,omitempty"`
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
+	var req wire.BatchRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	switch {
-	case req.Source != nil && len(req.Targets) > 0 && len(req.Pairs) == 0:
-	case req.Source == nil && len(req.Targets) == 0 && len(req.Pairs) > 0:
-	default:
-		writeError(w, http.StatusBadRequest, `batch body needs either "pairs" or "source"+"targets"`)
+	if err := req.Validate(s.cfg.MaxBatch); err != nil {
+		wire.Reject(w, err)
 		return
 	}
-	n := len(req.Pairs) + len(req.Targets)
-	if n > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch of %d pairs exceeds the %d limit", n, s.cfg.MaxBatch)
-		return
-	}
+	n := req.Len()
 
 	prof := trace.ProfileFromContext(r.Context())
 	distances := make([]int64, 0, n)
@@ -449,17 +416,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.Reject(w, err)
 		return
 	}
 	s.batchPairs.Add(int64(n))
-	writeJSON(w, http.StatusOK, map[string]any{"count": n, "distances": distances})
+	wire.WriteBatch(w, distances)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.oracle.Stats()
 	hits, misses := s.cache.counters()
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"index": map[string]any{
 			"variant":            st.Variant.String(),
 			"vertices":           st.NumVertices,
@@ -511,10 +478,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Edges) == 0 {
-		writeError(w, http.StatusBadRequest, `update body needs a non-empty "edges" list`)
+		wire.Reject(w, wire.Errorf(http.StatusBadRequest, `update body needs a non-empty "edges" list`))
 		return
 	}
-	if !s.checkFanout(w, "edges", len(req.Edges)) {
+	if err := wire.CheckFanout("edges", len(req.Edges), s.cfg.MaxBatch); err != nil {
+		wire.Reject(w, err)
 		return
 	}
 	// Validate and insert the whole batch under one write-locked Update,
@@ -552,15 +520,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case err == pll.ErrNotDynamic:
-			writeError(w, http.StatusConflict, "served index is the %s variant; only dynamic indexes accept updates", s.oracle.Stats().Variant)
+			wire.Reject(w, wire.Errorf(http.StatusConflict, "served index is the %s variant; only dynamic indexes accept updates", s.oracle.Stats().Variant))
 		case badEdge != nil:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.Reject(w, err)
 		default:
-			writeError(w, http.StatusInternalServerError, "%v", err)
+			wire.Reject(w, wire.Errorf(http.StatusInternalServerError, "%v", err))
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"inserted":    inserted,
 		"label_delta": labelDelta,
 	})
@@ -584,15 +552,15 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		path = s.cfg.IndexPath
 	}
 	if path == "" {
-		writeError(w, http.StatusBadRequest, "no path in request and the server was started without an index file")
+		wire.Reject(w, wire.Errorf(http.StatusBadRequest, "no path in request and the server was started without an index file"))
 		return
 	}
 	st, err := s.Reload(path)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "reload %s: %v", path, err)
+		wire.Reject(w, wire.Errorf(http.StatusUnprocessableEntity, "reload %s: %v", path, err))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"path":       path,
 		"variant":    st.Variant.String(),
 		"vertices":   st.NumVertices,

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pll/internal/wire"
 	"pll/pll"
 )
 
@@ -177,7 +178,7 @@ func TestBatchPairs(t *testing.T) {
 		Distances []int64 `json:"distances"`
 	}
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Pairs: [][2]int32{{0, 9}, {3, 3}, {2, 5}}},
+		wire.BatchRequest{Pairs: [][2]int32{{0, 9}, {3, 3}, {2, 5}}},
 		http.StatusOK, &resp)
 	want := []int64{9, 0, 3}
 	if resp.Count != 3 || len(resp.Distances) != 3 {
@@ -201,7 +202,7 @@ func TestBatchSingleSource(t *testing.T) {
 		Distances []int64 `json:"distances"`
 	}
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Source: &src, Targets: []int32{1, 5, 9, 0}},
+		wire.BatchRequest{Source: &src, Targets: []int32{1, 5, 9, 0}},
 		http.StatusOK, &resp)
 	want := []int64{1, 5, 9, 0}
 	for i, d := range want {
@@ -220,18 +221,27 @@ func TestBatchValidation(t *testing.T) {
 	src := int32(0)
 	// Both forms at once.
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Source: &src, Targets: []int32{1}, Pairs: [][2]int32{{0, 1}}},
+		wire.BatchRequest{Source: &src, Targets: []int32{1}, Pairs: [][2]int32{{0, 1}}},
 		http.StatusBadRequest, nil)
 	// Neither form.
-	postJSON(t, ts.URL+"/batch", batchRequest{}, http.StatusBadRequest, nil)
+	postJSON(t, ts.URL+"/batch", wire.BatchRequest{}, http.StatusBadRequest, nil)
 	// Out-of-range vertex.
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Pairs: [][2]int32{{0, 17}}},
+		wire.BatchRequest{Pairs: [][2]int32{{0, 17}}},
 		http.StatusBadRequest, nil)
 	// Over the batch cap.
 	postJSON(t, ts.URL+"/batch",
-		batchRequest{Pairs: [][2]int32{{0, 1}, {1, 2}, {2, 3}}},
+		wire.BatchRequest{Pairs: [][2]int32{{0, 1}, {1, 2}, {2, 3}}},
 		http.StatusRequestEntityTooLarge, nil)
+	// A second JSON value after the body.
+	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"pairs":[[0,1]]}{"pairs":[[1,2]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("concatenated batch bodies: status %d, want 400", resp.StatusCode)
+	}
 }
 
 // TestBatchValidationMessage pins which vertex a rejected single-source
@@ -255,7 +265,7 @@ func TestBatchValidationMessage(t *testing.T) {
 			Error string `json:"error"`
 		}
 		postJSON(t, ts.URL+"/batch",
-			batchRequest{Source: &tc.src, Targets: tc.targets},
+			wire.BatchRequest{Source: &tc.src, Targets: tc.targets},
 			http.StatusBadRequest, &resp)
 		if resp.Error != tc.want {
 			t.Fatalf("batch from %d to %v: error %q, want %q", tc.src, tc.targets, resp.Error, tc.want)

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"pll/internal/trace"
+	"pll/internal/wire"
 )
 
 // StackConfig tunes the middleware stack. Every field zero yields a
@@ -185,7 +186,7 @@ func (st *Stack) Guarded(name string, h http.HandlerFunc) http.HandlerFunc {
 		trace.ProfileFromContext(r.Context()).AddAdmissionWait(time.Since(waitStart))
 		if release == nil {
 			w.Header().Set("Retry-After", retryAfter)
-			writeError(w, http.StatusTooManyRequests, "server over capacity (%s); retry after %ss", reason, retryAfter)
+			wire.Reject(w, wire.Errorf(http.StatusTooManyRequests, "server over capacity (%s); retry after %ss", reason, retryAfter))
 			return
 		}
 		defer release()
